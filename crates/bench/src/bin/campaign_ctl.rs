@@ -170,7 +170,8 @@ fn build_campaign(args: &BenchArgs) -> Result<(Campaign, Option<String>), CtlErr
                     .into(),
             ));
         }
-        let scenario = ScenarioFile::load(path).map_err(|err| err.to_string())?;
+        let scenario =
+            ScenarioFile::load(path).map_err(|err| format!("scenario file error: {err}"))?;
         eprintln!("loaded scenario {:?} from {}", scenario.name, path.display());
         return Ok((scenario.campaign(), Some(scenario.canonical())));
     }

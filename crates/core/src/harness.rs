@@ -47,6 +47,11 @@ impl AdversarySpec {
             AdversarySpec::Garbage => "garbage",
         }
     }
+
+    /// The strategy called `name` (the inverse of [`name`](Self::name)).
+    pub fn from_name(name: &str) -> Option<Self> {
+        Self::ALL.into_iter().find(|spec| spec.name() == name)
+    }
 }
 
 impl fmt::Display for AdversarySpec {

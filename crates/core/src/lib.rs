@@ -20,6 +20,8 @@
 //!   bipartite-authenticated protocol `ΠbSM` of Lemma 9,
 //! * [`strategies`] — reusable byzantine strategies (crash, preference lying, garbage
 //!   spam, puppet simulation of honest code on chosen inputs),
+//! * [`mini_toml`] — the one TOML-subset reader, writer and typed accessor layer
+//!   under both text formats (adversary scripts here, scenario files in the engine),
 //! * [`script`] — data-valued adversary scripts: serializable action lists a fuzzer
 //!   can generate, mutate, shrink and replay, interpreted by a
 //!   [`script::ScriptedAdversary`] that provably subsumes the built-in strategies,
@@ -54,6 +56,7 @@
 
 pub mod attacks;
 pub mod harness;
+pub mod mini_toml;
 pub mod problem;
 pub mod properties;
 pub mod protocols;
@@ -66,7 +69,7 @@ pub mod strategies;
 pub mod wire;
 
 pub use harness::{AdversarySpec, HarnessError, Scenario, ScenarioOutcome};
-pub use problem::{AuthMode, MatchDecision, Setting};
+pub use problem::{AuthMode, MatchDecision, Setting, MAX_MARKET_SIZE};
 pub use properties::{check_bsm, PropertyViolation};
 pub use script::{Script, ScriptAction, ScriptError, ScriptedAdversary, Verdict};
 pub use solvability::{characterize, ProtocolPlan, Solvability};

@@ -26,7 +26,17 @@ impl AuthMode {
             AuthMode::Authenticated => "authenticated",
         }
     }
+
+    /// The mode called `name` (the inverse of [`name`](Self::name)).
+    pub fn from_name(name: &str) -> Option<Self> {
+        Self::ALL.into_iter().find(|mode| mode.name() == name)
+    }
 }
+
+/// The largest market size `k` the text formats accept (scenario `sizes`, script
+/// `k`): far above any in-tree campaign (k ≤ 14), far below sizes whose preference
+/// profiles could not be allocated.
+pub const MAX_MARKET_SIZE: usize = 64;
 
 impl fmt::Display for AuthMode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

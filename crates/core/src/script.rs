@@ -8,13 +8,15 @@
 //! [`bsm_net::Adversary`] hooks, and [`Script::run`] wires everything through
 //! [`Scenario::run_with_adversary`].
 //!
-//! The serialized form is a small TOML subset (sections, `key = value`, integers,
-//! booleans, quoted strings and flat arrays) with a *canonical* rendering:
+//! The serialized form is a schema over the [`crate::mini_toml`] text layer (a
+//! `[script]` table, one `[[action]]` table per action, an optional `[verdict]`)
+//! with a *canonical* rendering:
 //! [`Script::parse`] followed by [`Script::canonical`] is the identity on canonical
 //! files, which is what lets frozen regressions be compared byte-for-byte.
 
 use crate::harness::{HarnessError, Scenario, ScenarioOutcome};
-use crate::problem::{AuthMode, Setting};
+use crate::mini_toml::{self, Table, TomlError, Value, Writer};
+use crate::problem::{AuthMode, Setting, MAX_MARKET_SIZE};
 use crate::solvability::{characterize, ProtocolPlan, Solvability};
 use crate::strategies::{BsmPuppetAdversary, GarbageAdversary};
 use crate::wire::{party_from_dense, PrefVec, ProtoBody, WireMsg};
@@ -26,7 +28,6 @@ use bsm_net::{Adversary, AdversaryContext, Envelope, Outgoing, PartyId, Topology
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
-use std::fmt;
 use std::path::Path;
 
 /// One step of a scripted attack.
@@ -242,26 +243,9 @@ impl Verdict {
     }
 }
 
-/// A parse or I/O error for the script file format.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScriptError {
-    /// 1-based line the error was detected on (0 = whole-file error).
-    pub line: usize,
-    /// Human-readable description.
-    pub message: String,
-}
-
-impl fmt::Display for ScriptError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.line == 0 {
-            write!(f, "script: {}", self.message)
-        } else {
-            write!(f, "line {}: {}", self.line, self.message)
-        }
-    }
-}
-
-impl std::error::Error for ScriptError {}
+/// A parse or I/O error for the script file format: the shared line-positioned
+/// [`TomlError`] (line 0 = whole-file error).
+pub type ScriptError = TomlError;
 
 /// A complete, serializable adversary script.
 ///
@@ -322,14 +306,6 @@ fn plan_from_name(name: &str) -> Option<ProtocolPlan> {
     }
 }
 
-fn topology_from_name(name: &str) -> Option<Topology> {
-    Topology::ALL.into_iter().find(|t| t.name() == name)
-}
-
-fn auth_from_name(name: &str) -> Option<AuthMode> {
-    AuthMode::ALL.into_iter().find(|a| a.name() == name)
-}
-
 fn side_name(side: Side) -> &'static str {
     match side {
         Side::Left => "left",
@@ -345,94 +321,41 @@ fn side_from_name(name: &str) -> Option<Side> {
     }
 }
 
-fn quote(text: &str) -> String {
-    let mut out = String::with_capacity(text.len() + 2);
-    out.push('"');
-    for c in text.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            other => out.push(other),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn render_ints(values: &[u64]) -> String {
-    let body: Vec<String> = values.iter().map(|v| v.to_string()).collect();
-    format!("[{}]", body.join(", "))
-}
-
-fn render_strs(values: &[String]) -> String {
-    let body: Vec<String> = values.iter().map(|v| quote(v)).collect();
-    format!("[{}]", body.join(", "))
-}
-
 impl Script {
     /// The canonical serialized form: `parse(canonical()) == self`, and canonical
     /// files survive a parse/render round trip byte-identically.
     pub fn canonical(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        out.push_str("[script]\n");
-        let _ = writeln!(out, "name = {}", quote(&self.name));
-        let _ = writeln!(out, "k = {}", self.k);
-        let _ = writeln!(out, "topology = {}", quote(self.topology.name()));
-        let _ = writeln!(out, "auth = {}", quote(self.auth.name()));
-        let _ = writeln!(out, "t_l = {}", self.t_l);
-        let _ = writeln!(out, "t_r = {}", self.t_r);
+        let mut out = Writer::default();
+        out.header("[script]")
+            .pair("name", self.name.as_str())
+            .pair("k", self.k)
+            .pair("topology", self.topology.name())
+            .pair("auth", self.auth.name())
+            .pair("t_l", self.t_l)
+            .pair("t_r", self.t_r);
         if let Some(plan) = self.plan {
-            let _ = writeln!(out, "plan = {}", quote(plan_name(plan)));
+            out.pair("plan", plan_name(plan));
         }
-        let left: Vec<u64> = self.corrupt_left.iter().map(|&i| u64::from(i)).collect();
-        let right: Vec<u64> = self.corrupt_right.iter().map(|&i| u64::from(i)).collect();
-        let _ = writeln!(out, "corrupt_left = {}", render_ints(&left));
-        let _ = writeln!(out, "corrupt_right = {}", render_ints(&right));
-        let _ = writeln!(out, "seed = {}", self.seed);
+        out.pair("corrupt_left", self.corrupt_left.iter().copied().collect::<Value>())
+            .pair("corrupt_right", self.corrupt_right.iter().copied().collect::<Value>())
+            .pair("seed", self.seed);
         for action in &self.actions {
-            out.push_str("\n[[action]]\n");
-            let _ = writeln!(out, "kind = {}", quote(action.kind()));
-            match *action {
-                ScriptAction::Silence { from_slot } => {
-                    let _ = writeln!(out, "from_slot = {from_slot}");
-                }
-                ScriptAction::Lie { seed } => {
-                    let _ = writeln!(out, "seed = {seed}");
-                }
-                ScriptAction::Garbage { seed, per_slot } => {
-                    let _ = writeln!(out, "seed = {seed}");
-                    let _ = writeln!(out, "per_slot = {per_slot}");
-                }
-                ScriptAction::Corrupt { slot, side, index } => {
-                    let _ = writeln!(out, "slot = {slot}");
-                    let _ = writeln!(out, "side = {}", quote(side_name(side)));
-                    let _ = writeln!(out, "index = {index}");
-                }
-                ScriptAction::DelayRecv { slot, nth, by } => {
-                    let _ = writeln!(out, "slot = {slot}");
-                    let _ = writeln!(out, "nth = {nth}");
-                    let _ = writeln!(out, "by = {by}");
-                }
-                ScriptAction::DropRecv { slot, nth }
-                | ScriptAction::Replay { slot, nth }
-                | ScriptAction::DropSend { slot, nth }
-                | ScriptAction::Equivocate { slot, nth }
-                | ScriptAction::TruncateChain { slot, nth }
-                | ScriptAction::ReorderChain { slot, nth }
-                | ScriptAction::SwapSigTag { slot, nth } => {
-                    let _ = writeln!(out, "slot = {slot}");
-                    let _ = writeln!(out, "nth = {nth}");
+            out.header("[[action]]").pair("kind", action.kind());
+            for (&key, number) in action.number_keys().iter().zip(action.numbers()) {
+                out.pair(key, number);
+                if let (ScriptAction::Corrupt { side, .. }, "slot") = (action, key) {
+                    out.pair("side", side_name(*side));
                 }
             }
         }
         if let Some(verdict) = &self.verdict {
-            out.push_str("\n[verdict]\n");
-            let _ = writeln!(out, "decided = {}", verdict.decided);
-            let _ = writeln!(out, "slots = {}", verdict.slots);
-            let _ = writeln!(out, "violations = {}", render_strs(&verdict.violations));
+            let violations: Value = verdict.violations.iter().map(String::as_str).collect();
+            out.header("[verdict]")
+                .pair("decided", verdict.decided)
+                .pair("slots", verdict.slots)
+                .pair("violations", violations);
         }
-        out
+        out.finish()
     }
 
     /// Parses the serialized form (see [`canonical`](Self::canonical)).
@@ -440,137 +363,63 @@ impl Script {
     /// # Errors
     ///
     /// Returns a line-numbered [`ScriptError`] on malformed syntax, unknown
-    /// sections/keys/kinds, duplicate keys or missing required fields.
+    /// sections/keys/kinds, duplicate keys or sections, missing required fields, and
+    /// a market size `k` above [`MAX_MARKET_SIZE`].
     pub fn parse(text: &str) -> Result<Script, ScriptError> {
-        enum Section {
-            None,
-            Script,
-            Action,
-            Verdict,
+        let doc = mini_toml::parse(text)?;
+        if let Some((key, line)) = doc.top.remaining().next() {
+            return Err(ScriptError::new(line, format!("key {key:?} outside any section")));
         }
-        let mut script_fields: Option<Fields> = None;
-        let mut action_fields: Vec<Fields> = Vec::new();
-        let mut verdict_fields: Option<Fields> = None;
-        let mut current = Section::None;
-
-        for (idx, raw) in text.lines().enumerate() {
-            let line_no = idx + 1;
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            if line == "[script]" {
-                if script_fields.is_some() {
-                    return Err(ScriptError {
-                        line: line_no,
-                        message: "duplicate [script] section".into(),
-                    });
+        let (mut header, mut actions, mut verdict) = (None, Vec::new(), None);
+        for table in doc.sections {
+            let slot = match table.header.as_str() {
+                "[script]" => &mut header,
+                "[verdict]" => &mut verdict,
+                "[[action]]" => {
+                    actions.push(table);
+                    continue;
                 }
-                script_fields = Some(Fields::new(line_no));
-                current = Section::Script;
-                continue;
-            }
-            if line == "[[action]]" {
-                action_fields.push(Fields::new(line_no));
-                current = Section::Action;
-                continue;
-            }
-            if line == "[verdict]" {
-                if verdict_fields.is_some() {
-                    return Err(ScriptError {
-                        line: line_no,
-                        message: "duplicate [verdict] section".into(),
-                    });
+                other => {
+                    return Err(ScriptError::new(table.line, format!("unknown section {other:?}")));
                 }
-                verdict_fields = Some(Fields::new(line_no));
-                current = Section::Verdict;
-                continue;
-            }
-            if line.starts_with('[') {
-                return Err(ScriptError {
-                    line: line_no,
-                    message: format!("unknown section {line:?}"),
-                });
-            }
-            let Some((key, value)) = line.split_once('=') else {
-                return Err(ScriptError {
-                    line: line_no,
-                    message: format!("expected `key = value`, got {line:?}"),
-                });
             };
-            let key = key.trim();
-            if key.is_empty() {
-                return Err(ScriptError { line: line_no, message: "empty key".into() });
+            if slot.is_some() {
+                let message = format!("duplicate {} section", table.header);
+                return Err(ScriptError::new(table.line, message));
             }
-            let value = parse_value(value.trim(), line_no)?;
-            let fields: &mut Fields = match current {
-                Section::None => {
-                    return Err(ScriptError {
-                        line: line_no,
-                        message: format!("key {key:?} outside any section"),
-                    });
-                }
-                Section::Script => script_fields.as_mut().expect("section seen"),
-                Section::Action => action_fields.last_mut().expect("section seen"),
-                Section::Verdict => verdict_fields.as_mut().expect("section seen"),
-            };
-            if fields.pairs.iter().any(|(k, _, _)| k == key) {
-                return Err(ScriptError {
-                    line: line_no,
-                    message: format!("duplicate key {key:?}"),
-                });
-            }
-            fields.pairs.push((key.to_string(), line_no, value));
+            *slot = Some(table);
         }
 
-        let mut sf = script_fields
-            .ok_or_else(|| ScriptError { line: 0, message: "missing [script] section".into() })?;
-        let name = sf.take_str("name")?;
-        let k = usize::try_from(sf.take_int("k")?)
-            .map_err(|_| ScriptError { line: sf.header, message: "k out of range".into() })?;
-        let topology_name = sf.take_str("topology")?;
-        let topology = topology_from_name(&topology_name).ok_or_else(|| ScriptError {
-            line: sf.header,
-            message: format!("unknown topology {topology_name:?}"),
-        })?;
-        let auth_name = sf.take_str("auth")?;
-        let auth = auth_from_name(&auth_name).ok_or_else(|| ScriptError {
-            line: sf.header,
-            message: format!("unknown auth mode {auth_name:?}"),
-        })?;
-        let t_l = sf.take_int("t_l")? as usize;
-        let t_r = sf.take_int("t_r")? as usize;
-        let plan = match sf.take_str_opt("plan")? {
-            None => None,
-            Some(plan_str) => Some(plan_from_name(&plan_str).ok_or_else(|| ScriptError {
-                line: sf.header,
-                message: format!("unknown plan {plan_str:?}"),
-            })?),
-        };
-        let corrupt_left = to_u32s(sf.take_ints_opt("corrupt_left")?, sf.header)?;
-        let corrupt_right = to_u32s(sf.take_ints_opt("corrupt_right")?, sf.header)?;
-        let seed = sf.take_int("seed")?;
-        sf.finish("script")?;
-
-        let mut actions = Vec::with_capacity(action_fields.len());
-        for fields in action_fields {
-            actions.push(action_from_fields(fields)?);
+        let mut table = header.ok_or_else(|| ScriptError::new(0, "missing [script] section"))?;
+        let name = table.req("name")?;
+        let k = table.req::<u64>("k")?;
+        if k > MAX_MARKET_SIZE as u64 {
+            let message = format!("k = {k} exceeds the maximum market size {MAX_MARKET_SIZE}");
+            return Err(table.error_at("k", message));
         }
-
-        let verdict = match verdict_fields {
+        let topology = table.req::<String>("topology")?;
+        let topology = Topology::from_name(&topology)
+            .ok_or_else(|| table.error_at("topology", format!("unknown topology {topology:?}")))?;
+        let auth = table.req::<String>("auth")?;
+        let auth = AuthMode::from_name(&auth)
+            .ok_or_else(|| table.error_at("auth", format!("unknown auth mode {auth:?}")))?;
+        let t_l = table.req::<u64>("t_l")? as usize;
+        let t_r = table.req::<u64>("t_r")? as usize;
+        let plan = match table.opt::<String>("plan")? {
             None => None,
-            Some(mut vf) => {
-                let decided = vf.take_bool("decided")?;
-                let slots = vf.take_int("slots")?;
-                let violations = vf.take_strs_opt("violations")?;
-                vf.finish("verdict")?;
-                Some(Verdict { decided, slots, violations })
-            }
+            Some(name) => Some(
+                plan_from_name(&name)
+                    .ok_or_else(|| table.error_at("plan", format!("unknown plan {name:?}")))?,
+            ),
         };
+        let corrupt_left = indices(&mut table, "corrupt_left")?;
+        let corrupt_right = indices(&mut table, "corrupt_right")?;
+        let seed = table.req("seed")?;
+        table.finish()?;
 
         Ok(Script {
             name,
-            k,
+            k: k as usize,
             topology,
             auth,
             t_l,
@@ -579,11 +428,10 @@ impl Script {
             corrupt_left,
             corrupt_right,
             seed,
-            actions,
-            verdict,
+            actions: actions.into_iter().map(action_from_table).collect::<Result<_, _>>()?,
+            verdict: verdict.map(verdict_from_table).transpose()?,
         })
     }
-
     /// Loads and parses a script file.
     ///
     /// # Errors
@@ -651,290 +499,88 @@ impl Script {
     }
 }
 
-/// A parsed value of the TOML subset.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Value {
-    Int(u64),
-    Bool(bool),
-    Str(String),
-    Ints(Vec<u64>),
-    Strs(Vec<String>),
-}
+/// One action of every kind with all numbers zero: the templates `[[action]]`
+/// tables are read into.
+const ACTION_KINDS: [ScriptAction; 12] = [
+    ScriptAction::Silence { from_slot: 0 },
+    ScriptAction::Lie { seed: 0 },
+    ScriptAction::Garbage { seed: 0, per_slot: 0 },
+    ScriptAction::Corrupt { slot: 0, side: Side::Left, index: 0 },
+    ScriptAction::DropRecv { slot: 0, nth: 0 },
+    ScriptAction::DelayRecv { slot: 0, nth: 0, by: 0 },
+    ScriptAction::Replay { slot: 0, nth: 0 },
+    ScriptAction::DropSend { slot: 0, nth: 0 },
+    ScriptAction::Equivocate { slot: 0, nth: 0 },
+    ScriptAction::TruncateChain { slot: 0, nth: 0 },
+    ScriptAction::ReorderChain { slot: 0, nth: 0 },
+    ScriptAction::SwapSigTag { slot: 0, nth: 0 },
+];
 
-impl Value {
-    fn type_name(&self) -> &'static str {
+impl ScriptAction {
+    /// The serialized keys of [`numbers`](Self::numbers), in the same order (a
+    /// [`Corrupt`](Self::Corrupt) also carries `side`, written after `slot`).
+    fn number_keys(&self) -> &'static [&'static str] {
         match self {
-            Value::Int(_) => "integer",
-            Value::Bool(_) => "boolean",
-            Value::Str(_) => "string",
-            Value::Ints(_) => "integer array",
-            Value::Strs(_) => "string array",
+            ScriptAction::Silence { .. } => &["from_slot"],
+            ScriptAction::Lie { .. } => &["seed"],
+            ScriptAction::Garbage { .. } => &["seed", "per_slot"],
+            ScriptAction::Corrupt { .. } => &["slot", "index"],
+            ScriptAction::DelayRecv { .. } => &["slot", "nth", "by"],
+            ScriptAction::DropRecv { .. }
+            | ScriptAction::Replay { .. }
+            | ScriptAction::DropSend { .. }
+            | ScriptAction::Equivocate { .. }
+            | ScriptAction::TruncateChain { .. }
+            | ScriptAction::ReorderChain { .. }
+            | ScriptAction::SwapSigTag { .. } => &["slot", "nth"],
         }
     }
 }
 
-/// Reads a quoted string starting at `text[0] == '"'`; returns the unescaped body
-/// and the rest of the input after the closing quote.
-fn parse_string_body(text: &str, line: usize) -> Result<(String, &str), ScriptError> {
-    let mut chars = text.char_indices();
-    match chars.next() {
-        Some((_, '"')) => {}
-        _ => return Err(ScriptError { line, message: "expected opening quote".into() }),
-    }
-    let mut out = String::new();
-    while let Some((i, c)) = chars.next() {
-        match c {
-            '"' => return Ok((out, &text[i + c.len_utf8()..])),
-            '\\' => match chars.next() {
-                Some((_, '\\')) => out.push('\\'),
-                Some((_, '"')) => out.push('"'),
-                _ => {
-                    return Err(ScriptError { line, message: "invalid escape in string".into() });
-                }
-            },
-            other => out.push(other),
-        }
-    }
-    Err(ScriptError { line, message: "unterminated string".into() })
-}
-
-fn parse_array(text: &str, line: usize) -> Result<Value, ScriptError> {
-    let mut rest = text.strip_prefix('[').expect("caller checked").trim_start();
-    let mut ints: Vec<u64> = Vec::new();
-    let mut strs: Vec<String> = Vec::new();
-    loop {
-        if let Some(after) = rest.strip_prefix(']') {
-            if !after.trim().is_empty() {
-                return Err(ScriptError {
-                    line,
-                    message: format!("trailing characters after array: {:?}", after.trim()),
-                });
-            }
-            break;
-        }
-        if rest.starts_with('"') {
-            if !ints.is_empty() {
-                return Err(ScriptError { line, message: "mixed array element types".into() });
-            }
-            let (body, after) = parse_string_body(rest, line)?;
-            strs.push(body);
-            rest = after.trim_start();
-        } else {
-            if !strs.is_empty() {
-                return Err(ScriptError { line, message: "mixed array element types".into() });
-            }
-            let end = rest
-                .find([',', ']'])
-                .ok_or_else(|| ScriptError { line, message: "unterminated array".into() })?;
-            let token = rest[..end].trim();
-            let value: u64 = token.parse().map_err(|_| ScriptError {
-                line,
-                message: format!("invalid array integer {token:?}"),
-            })?;
-            ints.push(value);
-            rest = &rest[end..];
-        }
-        rest = rest.trim_start();
-        if let Some(after) = rest.strip_prefix(',') {
-            rest = after.trim_start();
-        } else if !rest.starts_with(']') {
-            return Err(ScriptError { line, message: "expected `,` or `]` in array".into() });
-        }
-    }
-    if strs.is_empty() {
-        Ok(Value::Ints(ints))
-    } else {
-        Ok(Value::Strs(strs))
-    }
-}
-
-fn parse_value(text: &str, line: usize) -> Result<Value, ScriptError> {
-    if text == "true" {
-        return Ok(Value::Bool(true));
-    }
-    if text == "false" {
-        return Ok(Value::Bool(false));
-    }
-    if text.starts_with('"') {
-        let (body, rest) = parse_string_body(text, line)?;
-        if !rest.trim().is_empty() {
-            return Err(ScriptError {
-                line,
-                message: format!("trailing characters after string: {:?}", rest.trim()),
-            });
-        }
-        return Ok(Value::Str(body));
-    }
-    if text.starts_with('[') {
-        return parse_array(text, line);
-    }
-    text.parse::<u64>().map(Value::Int).map_err(|_| ScriptError {
-        line,
-        message: format!("invalid value {text:?} (expected integer, bool, string or array)"),
-    })
-}
-
-/// The key/value pairs of one section, with their line numbers.
-#[derive(Debug)]
-struct Fields {
-    header: usize,
-    pairs: Vec<(String, usize, Value)>,
-}
-
-impl Fields {
-    fn new(header: usize) -> Self {
-        Self { header, pairs: Vec::new() }
-    }
-
-    fn take(&mut self, key: &str) -> Option<(usize, Value)> {
-        let idx = self.pairs.iter().position(|(k, _, _)| k == key)?;
-        let (_, line, value) = self.pairs.remove(idx);
-        Some((line, value))
-    }
-
-    fn missing(&self, key: &str) -> ScriptError {
-        ScriptError { line: self.header, message: format!("missing key {key:?}") }
-    }
-
-    fn wrong_type(line: usize, key: &str, value: &Value, wanted: &str) -> ScriptError {
-        ScriptError {
-            line,
-            message: format!("key {key:?} must be a {wanted}, got {}", value.type_name()),
-        }
-    }
-
-    fn take_int(&mut self, key: &str) -> Result<u64, ScriptError> {
-        match self.take(key) {
-            Some((_, Value::Int(v))) => Ok(v),
-            Some((line, other)) => Err(Self::wrong_type(line, key, &other, "integer")),
-            None => Err(self.missing(key)),
-        }
-    }
-
-    fn take_bool(&mut self, key: &str) -> Result<bool, ScriptError> {
-        match self.take(key) {
-            Some((_, Value::Bool(v))) => Ok(v),
-            Some((line, other)) => Err(Self::wrong_type(line, key, &other, "boolean")),
-            None => Err(self.missing(key)),
-        }
-    }
-
-    fn take_str(&mut self, key: &str) -> Result<String, ScriptError> {
-        self.take_str_opt(key)?.ok_or_else(|| self.missing(key))
-    }
-
-    fn take_str_opt(&mut self, key: &str) -> Result<Option<String>, ScriptError> {
-        match self.take(key) {
-            Some((_, Value::Str(v))) => Ok(Some(v)),
-            Some((line, other)) => Err(Self::wrong_type(line, key, &other, "string")),
-            None => Ok(None),
-        }
-    }
-
-    fn take_ints_opt(&mut self, key: &str) -> Result<Vec<u64>, ScriptError> {
-        match self.take(key) {
-            Some((_, Value::Ints(v))) => Ok(v),
-            Some((line, other)) => Err(Self::wrong_type(line, key, &other, "integer array")),
-            None => Ok(Vec::new()),
-        }
-    }
-
-    fn take_strs_opt(&mut self, key: &str) -> Result<Vec<String>, ScriptError> {
-        match self.take(key) {
-            Some((_, Value::Strs(v))) => Ok(v),
-            // An empty array parses as `Ints(vec![])`; accept it where strings are
-            // expected so `violations = []` round-trips.
-            Some((_, Value::Ints(v))) if v.is_empty() => Ok(Vec::new()),
-            Some((line, other)) => Err(Self::wrong_type(line, key, &other, "string array")),
-            None => Ok(Vec::new()),
-        }
-    }
-
-    fn finish(self, section: &str) -> Result<(), ScriptError> {
-        if let Some((key, line, _)) = self.pairs.into_iter().next() {
-            return Err(ScriptError {
-                line,
-                message: format!("unknown key {key:?} in [{section}]"),
-            });
-        }
-        Ok(())
-    }
-}
-
-fn to_u32s(values: Vec<u64>, line: usize) -> Result<Vec<u32>, ScriptError> {
+/// `key` as an array of party indices (absent: none).
+fn indices(table: &mut Table, key: &'static str) -> Result<Vec<u32>, ScriptError> {
+    let values = table.opt::<Vec<u64>>(key)?.unwrap_or_default();
     values
         .into_iter()
         .map(|v| {
-            u32::try_from(v)
-                .map_err(|_| ScriptError { line, message: format!("index {v} out of range") })
+            u32::try_from(v).map_err(|_| table.error_at(key, format!("index {v} out of range")))
         })
         .collect()
 }
 
-fn action_from_fields(mut fields: Fields) -> Result<ScriptAction, ScriptError> {
-    let kind = fields.take_str("kind")?;
-    let action = match kind.as_str() {
-        "silence" => ScriptAction::Silence { from_slot: fields.take_int("from_slot")? },
-        "lie" => ScriptAction::Lie { seed: fields.take_int("seed")? },
-        "garbage" => ScriptAction::Garbage {
-            seed: fields.take_int("seed")?,
-            per_slot: fields.take_int("per_slot")?,
-        },
-        "corrupt" => {
-            let slot = fields.take_int("slot")?;
-            let side_str = fields.take_str("side")?;
-            let side = side_from_name(&side_str).ok_or_else(|| ScriptError {
-                line: fields.header,
-                message: format!("unknown side {side_str:?}"),
-            })?;
-            let index_raw = fields.take_int("index")?;
-            let index = u32::try_from(index_raw).map_err(|_| ScriptError {
-                line: fields.header,
-                message: format!("index {index_raw} out of range"),
-            })?;
-            ScriptAction::Corrupt { slot, side, index }
+fn action_from_table(mut table: Table) -> Result<ScriptAction, ScriptError> {
+    let kind = table.req::<String>("kind")?;
+    let template = ACTION_KINDS
+        .into_iter()
+        .find(|action| action.kind() == kind)
+        .ok_or_else(|| table.error_at("kind", format!("unknown action kind {kind:?}")))?;
+    let numbers = template
+        .number_keys()
+        .iter()
+        .map(|&key| table.req::<u64>(key))
+        .collect::<Result<Vec<_>, _>>()?;
+    let mut action = template.with_numbers(&numbers);
+    if let ScriptAction::Corrupt { side, index, .. } = &mut action {
+        if u64::from(*index) != numbers[1] {
+            return Err(table.error_at("index", format!("index {} out of range", numbers[1])));
         }
-        "delay-recv" => ScriptAction::DelayRecv {
-            slot: fields.take_int("slot")?,
-            nth: fields.take_int("nth")?,
-            by: fields.take_int("by")?,
-        },
-        "drop-recv" => {
-            ScriptAction::DropRecv { slot: fields.take_int("slot")?, nth: fields.take_int("nth")? }
-        }
-        "replay" => {
-            ScriptAction::Replay { slot: fields.take_int("slot")?, nth: fields.take_int("nth")? }
-        }
-        "drop-send" => {
-            ScriptAction::DropSend { slot: fields.take_int("slot")?, nth: fields.take_int("nth")? }
-        }
-        "equivocate" => ScriptAction::Equivocate {
-            slot: fields.take_int("slot")?,
-            nth: fields.take_int("nth")?,
-        },
-        "truncate-chain" => ScriptAction::TruncateChain {
-            slot: fields.take_int("slot")?,
-            nth: fields.take_int("nth")?,
-        },
-        "reorder-chain" => ScriptAction::ReorderChain {
-            slot: fields.take_int("slot")?,
-            nth: fields.take_int("nth")?,
-        },
-        "swap-sig-tag" => ScriptAction::SwapSigTag {
-            slot: fields.take_int("slot")?,
-            nth: fields.take_int("nth")?,
-        },
-        other => {
-            return Err(ScriptError {
-                line: fields.header,
-                message: format!("unknown action kind {other:?}"),
-            });
-        }
-    };
-    fields.finish("action")?;
+        let name = table.req::<String>("side")?;
+        *side = side_from_name(&name)
+            .ok_or_else(|| table.error_at("side", format!("unknown side {name:?}")))?;
+    }
+    table.finish()?;
     Ok(action)
 }
 
+fn verdict_from_table(mut table: Table) -> Result<Verdict, ScriptError> {
+    let verdict = Verdict {
+        decided: table.req("decided")?,
+        slots: table.req("slots")?,
+        violations: table.opt("violations")?.unwrap_or_default(),
+    };
+    table.finish()?;
+    Ok(verdict)
+}
 /// The interpreter: executes a [`Script`]'s action list against the live simulation.
 ///
 /// The behaviour-mode actions reuse the exact machinery of
@@ -1167,7 +813,7 @@ impl Adversary<WireMsg> for ScriptedAdversary {
                 }
                 ScriptAction::DelayRecv { slot: s, nth, by } if s == slot => {
                     if let Some((party, envelope)) = remove_nth(&mut boxes, nth) {
-                        self.delayed.push((slot + by.max(1), party, envelope));
+                        self.delayed.push((slot.saturating_add(by.max(1)), party, envelope));
                     }
                 }
                 ScriptAction::Replay { slot: s, nth } if s == slot => {
@@ -1375,10 +1021,13 @@ mod tests {
             ("[bogus]\n", "unknown section"),
             ("[script]\nname = \"a\"\nname = \"b\"\n", "duplicate key"),
             ("[script]\nnot a pair\n", "expected `key = value`"),
-            ("[script]\nname = \"a\"\nk = \"three\"\n", "must be a integer"),
+            ("[script]\nname = \"a\"\nk = \"three\"\n", "expected integer"),
             ("[script]\nname = \"unterminated\n", "unterminated string"),
             ("[script]\nseed = [1, \"x\"]\n", "mixed array"),
             ("[script]\nseed = nope\n", "invalid value"),
+            ("[script]\nseed = +5\n", "invalid value"),
+            ("[script]\nseed = 007\n", "leading zeros"),
+            ("[script]\nname = \"a\"\nk = 4000000000\n", "exceeds the maximum market size"),
         ];
         for (text, needle) in cases {
             let err = Script::parse(text).unwrap_err();
@@ -1390,9 +1039,9 @@ mod tests {
         assert!(Script::parse(&bad_kind).unwrap_err().to_string().contains("unknown action kind"));
         let mut bad_key = empty_script(0).canonical();
         bad_key.push_str("bogus = 1\n");
-        assert!(Script::parse(&bad_key).unwrap_err().to_string().contains("unknown key"));
-        // Errors without a line render with the `script:` prefix.
-        assert!(Script::parse("").unwrap_err().to_string().starts_with("script:"));
+        assert!(Script::parse(&bad_key).unwrap_err().to_string().contains("unknown [script] key"));
+        // Errors without a line render without a line prefix.
+        assert_eq!(Script::parse("").unwrap_err().to_string(), "missing [script] section");
     }
 
     #[test]

@@ -414,27 +414,6 @@ pub(crate) fn boolean(fields: &[(String, Value)], name: &str) -> Result<bool, Im
     }
 }
 
-fn parse_topology(name: &str) -> Result<Topology, ImportError> {
-    Topology::ALL
-        .into_iter()
-        .find(|t| t.name() == name)
-        .ok_or_else(|| schema(format!("unknown topology {name:?}")))
-}
-
-fn parse_auth(name: &str) -> Result<AuthMode, ImportError> {
-    AuthMode::ALL
-        .into_iter()
-        .find(|a| a.name() == name)
-        .ok_or_else(|| schema(format!("unknown auth mode {name:?}")))
-}
-
-fn parse_adversary(name: &str) -> Result<AdversarySpec, ImportError> {
-    AdversarySpec::ALL
-        .into_iter()
-        .find(|a| a.name() == name)
-        .ok_or_else(|| schema(format!("unknown adversary {name:?}")))
-}
-
 /// Every plan the characterization can prescribe; matched against the rendered name
 /// so the import stays in lockstep with [`ProtocolPlan`]'s `Display`.
 const ALL_PLANS: [ProtocolPlan; 5] = [
@@ -452,16 +431,20 @@ fn parse_plan(name: &str) -> Result<ProtocolPlan, ImportError> {
         .ok_or_else(|| schema(format!("unknown protocol plan {name:?}")))
 }
 
+fn by_name<T>(name: &str, from_name: fn(&str) -> Option<T>, what: &str) -> Result<T, ImportError> {
+    from_name(name).ok_or_else(|| schema(format!("unknown {what} {name:?}")))
+}
+
 /// Parses the grid-coordinate fields shared by report cells, telemetry sidecar lines
 /// and heartbeat documents into a [`ScenarioSpec`].
 pub(crate) fn parse_spec(fields: &[(String, Value)]) -> Result<ScenarioSpec, ImportError> {
     Ok(ScenarioSpec {
         k: usize_field(fields, "k")?,
-        topology: parse_topology(string(fields, "topology")?)?,
-        auth: parse_auth(string(fields, "auth")?)?,
+        topology: by_name(string(fields, "topology")?, Topology::from_name, "topology")?,
+        auth: by_name(string(fields, "auth")?, AuthMode::from_name, "auth mode")?,
         t_l: usize_field(fields, "t_l")?,
         t_r: usize_field(fields, "t_r")?,
-        adversary: parse_adversary(string(fields, "adversary")?)?,
+        adversary: by_name(string(fields, "adversary")?, AdversarySpec::from_name, "adversary")?,
         faults: string(fields, "faults")?
             .parse::<FaultSpec>()
             .map_err(|err| schema(err.to_string()))?,

@@ -70,6 +70,11 @@ impl Topology {
             Topology::FullyConnected => "fully-connected",
         }
     }
+
+    /// The topology called `name` (the inverse of [`name`](Self::name)).
+    pub fn from_name(name: &str) -> Option<Self> {
+        Self::ALL.into_iter().find(|topology| topology.name() == name)
+    }
 }
 
 impl std::fmt::Display for Topology {
