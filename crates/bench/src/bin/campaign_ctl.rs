@@ -8,8 +8,9 @@
 //! campaign_ctl run --smoke --shard 2/3 --out shards/2
 //! campaign_ctl run --smoke --shard 3/3 --out shards/3
 //!
-//! # Recombine the shard exports; byte-identical to an unsharded run:
-//! campaign_ctl merge --out merged shards/1/report.json shards/2/report.json shards/3/report.json
+//! # Recombine the shard streams; byte-identical to an unsharded run:
+//! campaign_ctl merge --out merged \
+//!     shards/1/report.jsonl shards/2/report.jsonl shards/3/report.jsonl
 //!
 //! # Cell-level comparison of two runs (e.g. before/after a protocol change);
 //! # exits non-zero when any cell differs:
@@ -17,8 +18,19 @@
 //! ```
 //!
 //! `run` executes the standard campaign grid (`--smoke`: the small CI grid; default:
-//! the full ~1080-cell sweep — the same grids as `examples/campaign.rs`) and writes
-//! `report.json` + `report.csv` to `--out`. All flags come from [`bsm_bench::cli`].
+//! the full ~1080-cell sweep — the same grids as `examples/campaign.rs`). All flags
+//! come from [`bsm_bench::cli`].
+//!
+//! # One execution path
+//!
+//! Every `run` streams: cells are written to `report.jsonl` — coordinate-sorted cell
+//! lines plus a totals footer — as they complete, so no run ever holds the whole
+//! record vector. Once the stream is published, `run` renders `report.json` and
+//! `report.csv` from it through the same k-way merge `merge` uses (a one-way merge
+//! of its own stream). `merge` k-way-merges shard `report.jsonl` files in constant
+//! memory into `report.json` + `report.csv`, **byte-identical** to the unsharded
+//! run's. `diff` accepts both formats (`.jsonl` exports are detected by extension,
+//! case-insensitively).
 //!
 //! # Scenario files (`--scenario`)
 //!
@@ -30,51 +42,32 @@
 //! so mixed-scenario data can never splice silently:
 //!
 //! ```sh
-//! campaign_ctl run --scenario examples/scenarios/partition_heal.toml --stream --metrics
+//! campaign_ctl run --scenario examples/scenarios/partition_heal.toml --metrics
 //! ```
-//!
-//! # Streaming (`--stream`)
-//!
-//! For campaigns too large to hold every cell in memory, `run --stream` writes a
-//! `report.jsonl` — coordinate-sorted cell lines plus a totals footer, streamed to
-//! disk as cells complete — plus a per-shard `report.csv` (streamed through
-//! `StreamingCsvWriter`, byte-identical to the in-memory export of the same shard),
-//! and `merge --stream` k-way-merges shard `report.jsonl` files in constant memory
-//! into `report.json` + `report.csv` **byte-identical** to the in-memory `merge` of
-//! unstreamed shard exports:
-//!
-//! ```sh
-//! campaign_ctl run --smoke --stream --shard 1/3 --out shards/1   # ... 2/3, 3/3
-//! campaign_ctl merge --stream --out merged \
-//!     shards/1/report.jsonl shards/2/report.jsonl shards/3/report.jsonl
-//! ```
-//!
-//! `diff` accepts both formats (`.jsonl` exports are detected by extension,
-//! case-insensitively).
 //!
 //! # Crash recovery (`resume`)
 //!
-//! A streamed run that dies mid-campaign leaves its completed cells at
+//! A run that dies mid-campaign leaves its completed cells at
 //! `report.jsonl.partial` — the stream is written there and renamed to
 //! `report.jsonl` only once footered. `resume` (with the same `--smoke`/`--shard`
-//! flags as the interrupted run) salvages the valid cell prefix, re-runs only the
-//! missing cells, and splices prefix + fresh cells into artifacts byte-identical
-//! to an uninterrupted run:
+//! flags as the interrupted run) is `run` with a salvaged prefix: it keeps the
+//! valid cell prefix, re-runs only the missing cells, and splices prefix + fresh
+//! cells into artifacts byte-identical to an uninterrupted run:
 //!
 //! ```sh
-//! campaign_ctl run  --smoke --stream --shard 2/3 --out shards/2   # ... killed!
+//! campaign_ctl run    --smoke --shard 2/3 --out shards/2   # ... killed!
 //! campaign_ctl resume --smoke --shard 2/3 --out shards/2
 //! ```
 //!
-//! All final artifacts (`report.json`, `report.csv`, `BENCH_engine.json`) are
-//! published through a temp-file + atomic-rename, so a crash at any instant can
-//! never leave a truncated file at a tracked path.
+//! All final artifacts (`report.json`, `report.csv`, `metrics.jsonl`,
+//! `BENCH_engine.json`) are published through a temp-file + atomic-rename, so a
+//! crash at any instant can never leave a truncated file at a tracked path.
 //!
 //! # Supervision (`supervise`)
 //!
 //! `supervise --shards K` turns the crash-*recoverable* pieces above into a
 //! crash-*tolerant* whole: the coordinator spawns one worker subprocess per shard
-//! (`run --stream --shard i/K`, re-executing this binary), watches each worker's
+//! (`run --shard i/K`, re-executing this binary), watches each worker's
 //! `progress.json` heartbeat for liveness (a heartbeat that stops advancing — not
 //! mere slowness — gets the worker killed), and on any death salvages the
 //! worker's partial and relaunches the remainder (`resume`) with bounded attempts
@@ -102,18 +95,18 @@
 //!
 //! # Telemetry (`--metrics`, `stats`)
 //!
-//! `run --metrics` (in-memory or `--stream`) writes a `metrics.jsonl` sidecar next
-//! to the report artifacts: one coordinate-sorted JSON line per cell carrying the
-//! cell's attributed crypto-counter delta, message accounting, per-role fan-out and
-//! wall time. The sidecar is strictly a side channel — every report artifact is
-//! byte-identical with and without it. Independently of `--metrics`, every streamed
-//! run heartbeats `progress.json` in its out-dir (done/total, rate, last
-//! coordinate, counter delta) every few cells through an atomic rename — the
-//! liveness signal the future coordinator daemon polls for dead shards. `stats`
-//! aggregates a sidecar into quantiles, top-N cells and per-axis rollups:
+//! `run --metrics` writes a `metrics.jsonl` sidecar next to the report artifacts:
+//! one coordinate-sorted JSON line per cell carrying the cell's attributed
+//! crypto-counter delta, message accounting, per-role fan-out and wall time. The
+//! sidecar is strictly a side channel — every report artifact is byte-identical
+//! with and without it. Independently of `--metrics`, every run heartbeats
+//! `progress.json` in its out-dir (done/total, rate, last coordinate, counter
+//! delta) every few cells through an atomic rename — the liveness signal
+//! `supervise` polls for dead shards. `stats` aggregates a sidecar into quantiles,
+//! top-N cells and per-axis rollups:
 //!
 //! ```sh
-//! campaign_ctl run --smoke --stream --metrics --shard 1/3 --out shards/1
+//! campaign_ctl run --smoke --metrics --shard 1/3 --out shards/1
 //! campaign_ctl stats shards/1     # p50/p90/p99, top cells, rollups (+ heartbeat)
 //! ```
 //!
@@ -136,8 +129,7 @@ use bsm_bench::exit::{CtlCode, CtlError};
 use bsm_core::harness::AdversarySpec;
 use bsm_core::script::{Script, Verdict};
 use bsm_engine::export::{
-    atomic_write, to_csv, to_json, AtomicFile, MergedJsonWriter, StreamingCsvWriter,
-    StreamingExporter,
+    atomic_write, AtomicFile, MergedJsonWriter, StreamingCsvWriter, StreamingExporter,
 };
 use bsm_engine::import::{footer_meta, from_json, from_jsonl, StreamingCells};
 use bsm_engine::supervise::{
@@ -148,7 +140,7 @@ use bsm_engine::telemetry::{
     parse_progress, CampaignStats, CellTelemetry, Heartbeat, TelemetryExporter, HEARTBEAT_EVERY,
 };
 use bsm_engine::{
-    run_fuzz, Campaign, CampaignBuilder, CampaignDiff, CampaignReport, CellMerge, Executor,
+    run_fuzz, Campaign, CampaignBuilder, CampaignDiff, CampaignReport, CellMerge, CellRecord,
     FuzzConfig, Progress, ScenarioFile, ShardPlan, StreamError, Totals,
 };
 use std::fs::File;
@@ -195,19 +187,6 @@ fn build_campaign(args: &BenchArgs) -> Result<(Campaign, Option<String>), CtlErr
     Ok((campaign, None))
 }
 
-/// Writes `report.json` and `report.csv` for `report` under `dir` (each through a
-/// temp-file + atomic rename — see [`atomic_write`]).
-fn export_report(report: &CampaignReport, dir: &Path) -> Result<(), String> {
-    let json_path = dir.join("report.json");
-    let csv_path = dir.join("report.csv");
-    std::fs::create_dir_all(dir)
-        .and_then(|()| atomic_write(&json_path, to_json(report)))
-        .and_then(|()| atomic_write(&csv_path, to_csv(report)))
-        .map_err(|err| format!("cannot write to {}: {err}", dir.display()))?;
-    println!("exported {} and {}", json_path.display(), csv_path.display());
-    Ok(())
-}
-
 /// Reads and imports one exported report: `report.json`, or a streamed
 /// `report.jsonl` (detected by extension, case-insensitively).
 fn import_report(path: &str) -> Result<CampaignReport, String> {
@@ -224,24 +203,6 @@ fn import_report(path: &str) -> Result<CampaignReport, String> {
              report.jsonl exports are detected by their .jsonl extension)"
         )
     })
-}
-
-/// Writes the `metrics.jsonl` telemetry sidecar for an in-memory run under `dir`
-/// (atomically, like every other artifact).
-fn export_metrics(telemetry: &[CellTelemetry], dir: &Path) -> Result<(), String> {
-    let path = dir.join("metrics.jsonl");
-    let mut out = AtomicFile::create(&path)
-        .map_err(|err| format!("cannot write {}: {err}", path.display()))?;
-    let mut exporter = TelemetryExporter::new(&mut out);
-    for cell in telemetry {
-        exporter
-            .write_cell(cell)
-            .map_err(|err| format!("cannot write telemetry to {}: {err}", path.display()))?;
-    }
-    exporter.finish().map_err(|err| format!("cannot finish {}: {err}", path.display()))?;
-    out.persist().map_err(|err| format!("cannot publish {}: {err}", path.display()))?;
-    println!("exported {}", path.display());
-    Ok(())
 }
 
 /// Removes a stale artifact left by an earlier run, tolerating its absence.
@@ -265,236 +226,15 @@ fn publish_partial(jsonl: BufWriter<File>, partial: &Path, dest: &Path) -> Resul
         .map_err(|err| format!("cannot publish {}: {err}", dest.display()))
 }
 
-fn run(args: &BenchArgs) -> Result<CtlCode, CtlError> {
-    let (campaign, scenario) = build_campaign(args)?;
-    let executor = args.executor().progress(Progress::Stderr { every: 250 });
-    match args.shard {
-        Some(plan) => eprintln!("running shard {plan} of {campaign}"),
-        None => eprintln!("running {campaign}"),
-    }
-    if args.stream {
-        return run_streamed(args, &campaign, scenario.as_deref(), &executor);
-    }
-    // Tag the report with the scenario's canonical text (a no-op without --scenario).
-    let tag = |report: CampaignReport| match &scenario {
-        Some(text) => report.with_scenario(text.clone()),
-        None => report,
-    };
-    let out = args.out.clone().unwrap_or_else(|| PathBuf::from("target/campaign_ctl"));
-    if args.metrics {
-        // The telemetry path builds the exact report the plain path builds (the
-        // records come from the same cell runner) — the sidecar is a pure addition.
-        let target = campaign.shard(args.shard.unwrap_or(ShardPlan::WHOLE));
-        let (report, telemetry, stats) = executor.run_telemetry(&target);
-        let report = tag(report);
-        eprintln!("{stats}");
-        println!("totals: {}", report.totals());
-        export_report(&report, &out)?;
-        export_metrics(&telemetry, &out)?;
-        return Ok(CtlCode::Success);
-    }
-    let (report, stats) = match args.shard {
-        Some(plan) => executor.run_shard(&campaign, plan),
-        None => executor.run(&campaign),
-    };
-    let report = tag(report);
-    eprintln!("{stats}");
-    println!("totals: {}", report.totals());
-    export_report(&report, &out)?;
-    Ok(CtlCode::Success)
-}
-
-/// `run --stream`: cells are folded into rolling totals and streamed to
-/// `report.jsonl` **and** `report.csv` as they complete; the full record vector is
-/// never held in memory. The per-shard CSV is byte-identical to the `to_csv` export
-/// of the same shard run in memory (CSV needs no totals header, so it can stream on
-/// the shard side too).
-///
-/// Crash safety: the JSONL stream is written at `report.jsonl.partial` and renamed
-/// to `report.jsonl` only once footered, so a crash (or failure) at any instant
-/// leaves the completed cells salvageable for [`resume`] and never a truncated
-/// stream at the final path. The CSV (and the `--metrics` sidecar) go through an
-/// [`AtomicFile`]. The `progress.json` heartbeat is the one artifact deliberately
-/// *left behind* on failure: its last atomic snapshot shows where the run died.
-fn run_streamed(
-    args: &BenchArgs,
-    campaign: &Campaign,
-    scenario: Option<&str>,
-    executor: &Executor,
-) -> Result<CtlCode, CtlError> {
-    // Deterministic crash injection (the supervision chaos tests): read the armed
-    // point first, so an `early` death happens before any artifact exists.
-    let mut crash = CrashPoint::from_env().map_err(CtlError::Usage)?;
-    if let Some(point) = &crash {
-        point.die_early_if_armed();
-    }
-    let attempt = attempt_from_env()?;
-    let out = args.out.clone().unwrap_or_else(|| PathBuf::from("target/campaign_ctl"));
-    std::fs::create_dir_all(&out)
-        .map_err(|err| format!("cannot create {}: {err}", out.display()))?;
-    let path = out.join("report.jsonl");
-    let partial_path = out.join("report.jsonl.partial");
-    let csv_path = out.join("report.csv");
-    let metrics_path = out.join("metrics.jsonl");
-    // A stale report.jsonl from an earlier run must not sit next to this run's
-    // partial: an interrupted run would otherwise look complete to a later merge.
-    // Same for a stale sidecar, which this run may not regenerate.
-    remove_stale(&path)?;
-    remove_stale(&metrics_path)?;
-    let file = File::create(&partial_path)
-        .map_err(|err| format!("cannot write {}: {err}", partial_path.display()))?;
-    let mut jsonl = BufWriter::new(file);
-    let mut csv_out = AtomicFile::create(&csv_path)
-        .map_err(|err| format!("cannot write {}: {err}", csv_path.display()))?;
-    let mut metrics_out = match args.metrics {
-        true => Some(
-            AtomicFile::create(&metrics_path)
-                .map_err(|err| format!("cannot write {}: {err}", metrics_path.display()))?,
-        ),
-        false => None,
-    };
-    // Every streamed run heartbeats, --metrics or not: liveness is for operators
-    // and the future coordinator, not a per-cell data product.
-    let shard_len = args.shard.map_or(campaign.len(), |plan| plan.range(campaign.len()).len());
-    let mut heartbeat = Heartbeat::new(&out, shard_len, HEARTBEAT_EVERY)
-        .and_then(|beat| if attempt > 1 { beat.attempt(attempt) } else { Ok(beat) })
-        .map_err(|err| format!("cannot write heartbeat in {}: {err}", out.display()))?;
-    let result = (|| -> Result<(Totals, bsm_engine::ExecutionStats), String> {
-        let mut exporter = StreamingExporter::new(&mut jsonl);
-        if let Some(text) = scenario {
-            exporter.set_scenario(text);
-        }
-        let mut csv = StreamingCsvWriter::new(&mut csv_out)
-            .map_err(|err| format!("cannot start {}: {err}", csv_path.display()))?;
-        let mut metrics = metrics_out.as_mut().map(TelemetryExporter::new);
-        let mut sink =
-            |cell: bsm_engine::CellRecord, telemetry: CellTelemetry| -> Result<(), StreamError> {
-                exporter.write_cell(&cell)?;
-                csv.write_cell(&cell)?;
-                if let Some(sidecar) = metrics.as_mut() {
-                    sidecar.write_cell(&telemetry)?;
-                }
-                heartbeat.tick(cell.spec)?;
-                if let Some(point) = crash.as_mut() {
-                    if point.cell_written() {
-                        // Flush first: an injected death leaves whole lines (plus,
-                        // for torn mode, the fragment fire() appends after them).
-                        exporter.flush()?;
-                        point.fire(&partial_path);
-                    }
-                }
-                Ok(())
-            };
-        let run = match args.shard {
-            Some(plan) => executor.run_shard_streaming_telemetry(campaign, plan, &mut sink),
-            None => executor.run_streaming_telemetry(campaign, &mut sink),
-        };
-        let (totals, stats) = run.map_err(|err| {
-            format!("streamed export to {} failed: {err}", partial_path.display())
-        })?;
-        exporter
-            .finish()
-            .map_err(|err| format!("cannot finish {}: {err}", partial_path.display()))?;
-        csv.finish().map_err(|err| format!("cannot finish {}: {err}", csv_path.display()))?;
-        if let Some(sidecar) = metrics {
-            sidecar
-                .finish()
-                .map_err(|err| format!("cannot finish {}: {err}", metrics_path.display()))?;
-        }
-        Ok((totals, stats))
-    })();
-    let (totals, stats) = match result {
-        Ok(finished) => finished,
-        Err(message) => {
-            // Keep the salvageable prefix at report.jsonl.partial; the CSV and
-            // sidecar staging files are discarded by the AtomicFile drops, leaving
-            // no partial CSV or metrics.jsonl.
-            drop(csv_out);
-            drop(metrics_out);
-            return Err(format!(
-                "{message} (completed cells kept at {}; `campaign_ctl resume` with the \
-                 same flags finishes the run)",
-                partial_path.display()
-            )
-            .into());
-        }
-    };
-    if let Some(point) = &crash {
-        // The `finish` death promises a complete, footered partial on disk: drain
-        // the writer's buffer before dying between footer and rename.
-        jsonl.flush().map_err(|err| format!("cannot flush {}: {err}", partial_path.display()))?;
-        point.die_before_publish_if_armed();
-    }
-    publish_partial(jsonl, &partial_path, &path)?;
-    csv_out.persist().map_err(|err| format!("cannot publish {}: {err}", csv_path.display()))?;
-    if let Some(staged) = metrics_out {
-        staged
-            .persist()
-            .map_err(|err| format!("cannot publish {}: {err}", metrics_path.display()))?;
-    }
-    heartbeat
-        .finish()
-        .map_err(|err| format!("cannot write heartbeat in {}: {err}", out.display()))?;
-    eprintln!("{stats}");
-    println!("totals: {totals}");
-    println!("exported {} and {}", path.display(), csv_path.display());
-    if args.metrics {
-        println!("exported {}", metrics_path.display());
-    }
-    Ok(CtlCode::Success)
-}
-
-/// `resume --out DIR`: finish a crash-interrupted `run --stream`.
-///
-/// Salvages the valid ordered cell prefix of the interrupted export
-/// (`report.jsonl.partial` when present, else `report.jsonl`), verifies it against
-/// the shard's canonical work list, re-runs only the un-run remainder of the
-/// shard's range ([`ShardPlan::remainder`]), and splices prefix + fresh cells into
-/// a complete footered `report.jsonl` + `report.csv` — byte-identical to an
-/// uninterrupted `run --stream`. Pass the same `--smoke`/`--shard` flags as the
-/// interrupted run; the salvaged prefix is held in memory while the output is
-/// rewritten through the same partial-then-rename scheme as `run --stream`.
-fn resume(args: &BenchArgs) -> Result<CtlCode, CtlError> {
-    if !args.files.is_empty() {
-        return Err(CtlError::Usage(
-            "resume: file arguments are not supported (pass --out DIR of the \
-             interrupted run, plus its --smoke/--shard flags)"
-                .into(),
-        ));
-    }
-    if args.metrics {
-        // Telemetry (counter deltas, wall times) is measured while a cell runs; it
-        // cannot be reconstructed for the cells salvaged from the interrupted
-        // export, so a resumed sidecar would silently cover only the fresh tail.
-        return Err(CtlError::Usage(
-            "resume: --metrics is not supported (per-cell telemetry cannot be \
-             reconstructed for salvaged cells; re-run with `run --stream --metrics` \
-             for a complete sidecar)"
-                .into(),
-        ));
-    }
-    let out = args.out.clone().ok_or_else(|| {
-        CtlError::Usage(
-            "resume: --out DIR is required (the directory of the interrupted streamed run)".into(),
-        )
-    })?;
-    // Chaos counts *stream-absolute* cells: replayed salvaged cells count too, so
-    // "die after the Nth cell" means the same position on every attempt.
-    let mut crash = CrashPoint::from_env().map_err(CtlError::Usage)?;
-    if let Some(point) = &crash {
-        point.die_early_if_armed();
-    }
-    let attempt = attempt_from_env()?;
-    let (campaign, scenario) = build_campaign(args)?;
-    let plan = args.shard.unwrap_or(ShardPlan::WHOLE);
-    let shard = campaign.shard(plan);
-    let path = out.join("report.jsonl");
-    let partial_path = out.join("report.jsonl.partial");
-    let csv_path = out.join("report.csv");
-    let source = if partial_path.exists() { partial_path.clone() } else { path.clone() };
+/// Salvages the valid ordered cell prefix of an interrupted run under `out`
+/// (`report.jsonl.partial` when present, else `report.jsonl`) and verifies it is
+/// the head of `shard`'s canonical work list.
+fn salvage(out: &Path, shard: &Campaign, plan: ShardPlan) -> Result<Vec<CellRecord>, String> {
+    let partial = out.join("report.jsonl.partial");
+    let source = if partial.exists() { partial } else { out.join("report.jsonl") };
     let file = File::open(&source).map_err(|err| {
         format!(
-            "cannot read {}: {err} (nothing to resume; run `campaign_ctl run --stream` first)",
+            "cannot read {}: {err} (nothing to resume; run `campaign_ctl run` first)",
             source.display()
         )
     })?;
@@ -509,8 +249,7 @@ fn resume(args: &BenchArgs) -> Result<CtlCode, CtlError> {
             "salvaged {done} cell(s) but shard {plan} has only {} — wrong --smoke/--shard \
              flags for this export?",
             shard.len()
-        )
-        .into());
+        ));
     }
     for (cell, expected) in salvaged.cells.iter().zip(shard.specs()) {
         if cell.spec != *expected {
@@ -518,40 +257,133 @@ fn resume(args: &BenchArgs) -> Result<CtlCode, CtlError> {
                 "salvaged cell {} does not match the shard's work list (expected {}) — \
                  wrong --smoke/--shard flags for this export?",
                 cell.spec, expected
-            )
-            .into());
+            ));
         }
     }
     match (&salvaged.truncation, salvaged.complete) {
         (Some(reason), _) => {
             eprintln!("salvaged {done} cell(s) from {} (stopped at: {reason})", source.display());
         }
-        (None, false) => {
-            eprintln!("salvaged {done} cell(s) from {} (no footer)", source.display());
-        }
+        (None, false) => eprintln!("salvaged {done} cell(s) from {} (no footer)", source.display()),
         (None, true) => {
             eprintln!("salvaged all {done} cell(s) from {} (complete export)", source.display());
         }
     }
+    Ok(salvaged.cells)
+}
+
+/// Counts one more streamed cell toward an armed chaos crash point and fires it at
+/// the boundary. Chaos counts *stream-absolute* cells — replayed salvaged cells
+/// count too — so "die after the Nth cell" means the same position on every
+/// attempt.
+fn chaos_tick(
+    crash: &mut Option<CrashPoint>,
+    exporter: &mut StreamingExporter<&mut BufWriter<File>>,
+    partial: &Path,
+) -> Result<(), StreamError> {
+    if let Some(point) = crash.as_mut() {
+        if point.cell_written() {
+            // Flush first: an injected death leaves whole lines (plus, for torn
+            // mode, the fragment fire() appends after them).
+            exporter.flush()?;
+            point.fire(partial);
+        }
+    }
+    Ok(())
+}
+
+/// `run` and `resume` — one function: `run` is `resume` with an empty salvaged
+/// prefix.
+///
+/// The shard's cells stream to `report.jsonl` as they complete; the full record
+/// vector is never held in memory. `resume` first salvages the valid prefix of an
+/// interrupted run ([`salvage`]), replays it into the new stream and re-runs only
+/// the un-run remainder of the shard's range ([`ShardPlan::remainder`]), so the
+/// spliced stream is byte-identical to an uninterrupted run's. Once the stream is
+/// published, `report.json` and `report.csv` are rendered from it by
+/// [`merge_streams`] — a one-way merge.
+///
+/// Crash safety: the stream is written at `report.jsonl.partial` and renamed to
+/// `report.jsonl` only once footered, so a crash (or failure) at any instant
+/// leaves the completed cells salvageable for `resume` and never a truncated
+/// stream at the final path. The `--metrics` sidecar goes through an
+/// [`AtomicFile`]. The `progress.json` heartbeat is the one artifact deliberately
+/// *left behind* on failure: its last atomic snapshot shows where the run died.
+fn run(args: &BenchArgs, resume: bool) -> Result<CtlCode, CtlError> {
+    if resume && !args.files.is_empty() {
+        return Err(CtlError::Usage(
+            "resume: file arguments are not supported (pass --out DIR of the \
+             interrupted run, plus its --smoke/--shard flags)"
+                .into(),
+        ));
+    }
+    if resume && args.metrics {
+        // Telemetry (counter deltas, wall times) is measured while a cell runs; it
+        // cannot be reconstructed for the cells salvaged from the interrupted
+        // export, so a resumed sidecar would silently cover only the fresh tail.
+        return Err(CtlError::Usage(
+            "resume: --metrics is not supported (per-cell telemetry cannot be \
+             reconstructed for salvaged cells; re-run with `run --metrics` for a \
+             complete sidecar)"
+                .into(),
+        ));
+    }
+    let out = match (&args.out, resume) {
+        (Some(out), _) => out.clone(),
+        (None, false) => PathBuf::from("target/campaign_ctl"),
+        (None, true) => {
+            return Err(CtlError::Usage(
+                "resume: --out DIR is required (the directory of the interrupted run)".into(),
+            ))
+        }
+    };
+    // Deterministic crash injection (the supervision chaos tests): read the armed
+    // point first, so an `early` death happens before any artifact exists.
+    let mut crash = CrashPoint::from_env().map_err(CtlError::Usage)?;
+    if let Some(point) = &crash {
+        point.die_early_if_armed();
+    }
+    let attempt = attempt_from_env()?;
+    let (campaign, scenario) = build_campaign(args)?;
+    let plan = args.shard.unwrap_or(ShardPlan::WHOLE);
+    let shard = campaign.shard(plan);
+    let salvaged = if resume { salvage(&out, &shard, plan)? } else { Vec::new() };
+    let done = salvaged.len();
     let remainder = plan.remainder(campaign.len(), done);
     let fresh = remainder.len();
     let executor = args.executor().progress(Progress::Stderr { every: 250 });
-    eprintln!("re-running {fresh} remaining cell(s) of shard {plan} of {campaign}");
-    // Same crash-safe scheme as `run --stream`: the spliced stream goes to
-    // report.jsonl.partial (truncating the source we already hold in memory) and is
-    // renamed into place only once footered. A stale sidecar from an earlier
-    // `--metrics` run is removed — resume cannot regenerate it (see above).
-    remove_stale(&path)?;
-    remove_stale(&out.join("metrics.jsonl"))?;
-    let jsonl_file = File::create(&partial_path)
+    match (resume, args.shard) {
+        (true, _) => {
+            eprintln!("re-running {fresh} remaining cell(s) of shard {plan} of {campaign}")
+        }
+        (false, Some(plan)) => eprintln!("running shard {plan} of {campaign}"),
+        (false, None) => eprintln!("running {campaign}"),
+    }
+    let path = out.join("report.jsonl");
+    let partial_path = out.join("report.jsonl.partial");
+    let metrics_path = out.join("metrics.jsonl");
+    std::fs::create_dir_all(&out)
+        .map_err(|err| format!("cannot create {}: {err}", out.display()))?;
+    // Artifacts of an earlier run must not sit next to this run's partial: an
+    // interrupted run would otherwise look complete to a later merge. (The
+    // salvaged prefix, if any, is already in memory.)
+    for stale in [&path, &out.join("report.json"), &out.join("report.csv"), &metrics_path] {
+        remove_stale(stale)?;
+    }
+    let file = File::create(&partial_path)
         .map_err(|err| format!("cannot write {}: {err}", partial_path.display()))?;
-    let mut jsonl = BufWriter::new(jsonl_file);
-    let mut csv_out = AtomicFile::create(&csv_path)
-        .map_err(|err| format!("cannot write {}: {err}", csv_path.display()))?;
-    // The heartbeat starts at the salvaged count, so a watcher sees the resumed
-    // shard continue from where the interrupted run's progress.json left off.
+    let mut jsonl = BufWriter::new(file);
+    let mut metrics_out = match args.metrics {
+        true => Some(
+            AtomicFile::create(&metrics_path)
+                .map_err(|err| format!("cannot write {}: {err}", metrics_path.display()))?,
+        ),
+        false => None,
+    };
+    // The heartbeat starts at the salvaged count, so a watcher sees a resumed shard
+    // continue from where the interrupted run's progress.json left off.
     let mut heartbeat = Heartbeat::new(&out, shard.len(), HEARTBEAT_EVERY)
-        .and_then(|heartbeat| heartbeat.starting_at(done))
+        .and_then(|beat| beat.starting_at(done))
         .and_then(|beat| if attempt > 1 { beat.attempt(attempt) } else { Ok(beat) })
         .map_err(|err| format!("cannot write heartbeat in {}: {err}", out.display()))?;
     let result = (|| -> Result<(Totals, bsm_engine::ExecutionStats), String> {
@@ -559,75 +391,86 @@ fn resume(args: &BenchArgs) -> Result<CtlCode, CtlError> {
         if let Some(text) = &scenario {
             exporter.set_scenario(text.clone());
         }
-        let mut csv = StreamingCsvWriter::new(&mut csv_out)
-            .map_err(|err| format!("cannot start {}: {err}", csv_path.display()))?;
-        for cell in &salvaged.cells {
-            exporter.write_cell(cell).and_then(|()| csv.write_cell(cell)).map_err(|err| {
-                format!("cannot replay the salvaged prefix into {}: {err}", partial_path.display())
-            })?;
-            if let Some(point) = crash.as_mut() {
-                if point.cell_written() {
-                    exporter
-                        .flush()
-                        .map_err(|err| format!("cannot flush {}: {err}", partial_path.display()))?;
-                    point.fire(&partial_path);
-                }
-            }
+        for cell in &salvaged {
+            exporter
+                .write_cell(cell)
+                .and_then(|()| chaos_tick(&mut crash, &mut exporter, &partial_path))
+                .map_err(|err| {
+                    format!(
+                        "cannot replay the salvaged prefix into {}: {err}",
+                        partial_path.display()
+                    )
+                })?;
         }
-        let mut sink = |cell: bsm_engine::CellRecord| -> Result<(), StreamError> {
+        let mut metrics = metrics_out.as_mut().map(TelemetryExporter::new);
+        let mut sink = |cell: CellRecord, telemetry: CellTelemetry| -> Result<(), StreamError> {
             exporter.write_cell(&cell)?;
-            csv.write_cell(&cell)?;
-            heartbeat.tick(cell.spec)?;
-            if let Some(point) = crash.as_mut() {
-                if point.cell_written() {
-                    exporter.flush()?;
-                    point.fire(&partial_path);
-                }
+            if let Some(sidecar) = metrics.as_mut() {
+                sidecar.write_cell(&telemetry)?;
             }
-            Ok(())
+            heartbeat.tick(cell.spec)?;
+            chaos_tick(&mut crash, &mut exporter, &partial_path)
         };
-        let run = executor.run_range_streaming(&campaign, remainder, &mut sink);
-        let (_, stats) = run.map_err(|err| {
-            format!("streamed export to {} failed: {err}", partial_path.display())
-        })?;
+        let (_, stats) =
+            executor.run_streaming_telemetry(&campaign.slice(remainder), &mut sink).map_err(
+                |err| format!("streamed export to {} failed: {err}", partial_path.display()),
+            )?;
         let totals = exporter
             .finish()
             .map_err(|err| format!("cannot finish {}: {err}", partial_path.display()))?;
-        csv.finish().map_err(|err| format!("cannot finish {}: {err}", csv_path.display()))?;
+        if let Some(sidecar) = metrics {
+            sidecar
+                .finish()
+                .map_err(|err| format!("cannot finish {}: {err}", metrics_path.display()))?;
+        }
         Ok((totals, stats))
     })();
-    let (totals, stats) = match result {
-        Ok(finished) => finished,
-        Err(message) => {
-            drop(csv_out);
-            return Err(format!(
-                "{message} (completed cells kept at {}; rerun `campaign_ctl resume` to \
-                 finish)",
-                partial_path.display()
-            )
-            .into());
-        }
-    };
+    // On failure the salvageable prefix stays at report.jsonl.partial; the sidecar
+    // staging file is discarded by the AtomicFile drop.
+    let (totals, stats) = result.map_err(|message| {
+        format!(
+            "{message} (completed cells kept at {}; `campaign_ctl resume` with the same \
+             flags finishes the run)",
+            partial_path.display()
+        )
+    })?;
     if let Some(point) = &crash {
+        // The `finish` death promises a complete, footered partial on disk: drain
+        // the writer's buffer before dying between footer and rename.
         jsonl.flush().map_err(|err| format!("cannot flush {}: {err}", partial_path.display()))?;
         point.die_before_publish_if_armed();
     }
     publish_partial(jsonl, &partial_path, &path)?;
-    csv_out.persist().map_err(|err| format!("cannot publish {}: {err}", csv_path.display()))?;
+    if let Some(staged) = metrics_out {
+        staged
+            .persist()
+            .map_err(|err| format!("cannot publish {}: {err}", metrics_path.display()))?;
+    }
     heartbeat
         .finish()
         .map_err(|err| format!("cannot write heartbeat in {}: {err}", out.display()))?;
+    merge_streams(&[&path], &out)?;
     eprintln!("{stats}");
     println!("totals: {totals}");
-    println!("resumed: {done} salvaged + {fresh} fresh cell(s)");
-    println!("exported {} and {}", path.display(), csv_path.display());
+    if resume {
+        println!("resumed: {done} salvaged + {fresh} fresh cell(s)");
+    }
+    println!(
+        "exported {}, {} and {}",
+        path.display(),
+        out.join("report.json").display(),
+        out.join("report.csv").display()
+    );
+    if args.metrics {
+        println!("exported {}", metrics_path.display());
+    }
     Ok(CtlCode::Success)
 }
 
 /// `supervise --shards K`: crash-tolerant supervised shard execution.
 ///
-/// Spawns one worker subprocess per shard (`campaign_ctl run --stream --shard
-/// i/K`, re-executing this binary), watches each worker's `progress.json`
+/// Spawns one worker subprocess per shard (`campaign_ctl run --shard i/K`,
+/// re-executing this binary), watches each worker's `progress.json`
 /// heartbeat, and on crash, stall or non-zero exit salvages the worker's partial
 /// and relaunches the remainder (`campaign_ctl resume`) with bounded attempts and
 /// exponential backoff ([`run_supervisor`]). Shards that exhaust their attempts
@@ -636,10 +479,10 @@ fn resume(args: &BenchArgs) -> Result<CtlCode, CtlError> {
 /// quarantined), `supervise.json` records every attempt and the quarantined
 /// ranges, and the process exits degraded (code 4) when anything was quarantined.
 fn supervise(args: &BenchArgs) -> Result<CtlCode, CtlError> {
-    if !args.files.is_empty() || args.metrics || args.shard.is_some() || args.stream {
+    if !args.files.is_empty() || args.metrics || args.shard.is_some() {
         return Err(CtlError::Usage(
-            "supervise: --shard, --stream, --metrics and file arguments are not \
-             supported (the supervisor shards, streams and merges itself; use \
+            "supervise: --shard, --metrics and file arguments are not supported \
+             (the supervisor shards and merges itself; use \
              --shards K plus --smoke/--scenario, --threads, --out and the \
              supervision tuning flags)"
                 .into(),
@@ -677,10 +520,7 @@ fn supervise(args: &BenchArgs) -> Result<CtlCode, CtlError> {
     );
     let summary = run_supervisor(&config, &dirs, |shard, _, resume| {
         let mut command = Command::new(&exe);
-        match resume {
-            true => command.arg("resume"),
-            false => command.arg("run").arg("--stream"),
-        };
+        command.arg(if resume { "resume" } else { "run" });
         command.arg("--shard").arg(format!("{shard}/{shards}"));
         if args.smoke {
             command.arg("--smoke");
@@ -750,14 +590,9 @@ fn bench(args: &BenchArgs) -> Result<CtlCode, CtlError> {
     // The benchmark campaign is fixed by design (the snapshot is only comparable
     // across runs of the same grid); silently accepting run-flavored flags would
     // ship a mislabeled baseline with exit 0.
-    if args.shard.is_some()
-        || args.stream
-        || args.metrics
-        || args.scenario.is_some()
-        || !args.files.is_empty()
-    {
+    if args.shard.is_some() || args.metrics || args.scenario.is_some() || !args.files.is_empty() {
         return Err(CtlError::Usage(
-            "bench: --shard, --stream, --metrics, --scenario and file arguments \
+            "bench: --shard, --metrics, --scenario and file arguments \
              are not supported (the benchmark campaign is fixed and its snapshot \
              already carries the counter deltas; use --smoke, --threads, --out)"
                 .into(),
@@ -805,14 +640,13 @@ fn fuzz(args: &BenchArgs) -> Result<CtlCode, CtlError> {
     // The fuzzer owns its own determinism contract; campaign-flavored flags have no
     // meaning here and silently ignoring them would mislabel the run.
     if args.shard.is_some()
-        || args.stream
         || args.metrics
         || args.smoke
         || args.scenario.is_some()
         || !args.files.is_empty()
     {
         return Err(CtlError::Usage(
-            "fuzz: --shard, --stream, --metrics, --smoke, --scenario and file \
+            "fuzz: --shard, --metrics, --smoke, --scenario and file \
              arguments are not supported (use --budget N, --seed S, --replay FILE, \
              --freeze, --out DIR)"
                 .into(),
@@ -917,10 +751,11 @@ fn replay_script(path: &Path, freeze: bool) -> Result<bool, String> {
     }
 }
 
+/// `merge`: k-way merge of shard `report.jsonl` streams in constant memory.
 fn merge(args: &BenchArgs) -> Result<CtlCode, CtlError> {
     if args.files.is_empty() {
         return Err(CtlError::Usage(
-            "merge: no shard exports given (pass report.json paths)".into(),
+            "merge: no shard streams given (pass report.jsonl paths)".into(),
         ));
     }
     if args.metrics {
@@ -930,19 +765,6 @@ fn merge(args: &BenchArgs) -> Result<CtlCode, CtlError> {
                 .into(),
         ));
     }
-    if args.stream {
-        return merge_streamed(args);
-    }
-    let shards = args.files.iter().map(|p| import_report(p)).collect::<Result<Vec<_>, _>>()?;
-    let merged = CampaignReport::merge(shards).map_err(|err| err.to_string())?;
-    println!("merged {} shard(s): {}", args.files.len(), merged.totals());
-    let out = args.out.clone().unwrap_or_else(|| PathBuf::from("target/campaign_ctl/merged"));
-    export_report(&merged, &out)?;
-    Ok(CtlCode::Success)
-}
-
-/// `merge --stream`: k-way merge of shard `report.jsonl` streams in constant memory.
-fn merge_streamed(args: &BenchArgs) -> Result<CtlCode, CtlError> {
     let out = args.out.clone().unwrap_or_else(|| PathBuf::from("target/campaign_ctl/merged"));
     let totals = merge_streams(&args.files, &out)?;
     println!("merged {} shard stream(s): {totals}", args.files.len());
@@ -954,32 +776,38 @@ fn merge_streamed(args: &BenchArgs) -> Result<CtlCode, CtlError> {
     Ok(CtlCode::Success)
 }
 
-/// The streamed-merge core shared by `merge --stream` and `supervise`: k-way merge
-/// of shard `report.jsonl` streams into `report.json` + `report.csv` under `out`,
-/// in constant memory.
+/// The one merge, behind `run`, `resume`, `merge` and `supervise`: k-way merge of
+/// shard `report.jsonl` streams into `report.json` + `report.csv` under `out`, in
+/// constant memory.
 ///
 /// Pass 1 reads just the totals footers (the JSON document puts totals before the
 /// cells, so the coordinator must know them up front) and the scenario tags they
 /// carry — shards from different scenarios refuse to merge; pass 2 lazily streams
 /// the cells of all shards through the binary-heap merge into `report.json` +
-/// `report.csv`, byte-identical to the in-memory merge. The writers verify the
+/// `report.csv`, byte-identical to an unsharded run's. The writers verify the
 /// summed footers against the cells actually streamed, so a lying footer or
 /// truncated shard fails the merge instead of shipping a wrong artifact.
-fn merge_streams(files: &[String], out: &Path) -> Result<Totals, String> {
+fn merge_streams(files: &[impl AsRef<Path>], out: &Path) -> Result<Totals, String> {
+    let open = |path: &Path| {
+        File::open(path)
+            .map(BufReader::new)
+            .map_err(|err| format!("cannot read {}: {err}", path.display()))
+    };
     let mut declared = Totals::default();
     let mut scenario: Option<String> = None;
     for (index, path) in files.iter().enumerate() {
-        let file = File::open(path).map_err(|err| format!("cannot read {path}: {err}"))?;
-        let (totals, tag) = footer_meta(BufReader::new(file))
-            .map_err(|err| format!("cannot read footer of {path}: {err}"))?;
+        let path = path.as_ref();
+        let (totals, tag) = footer_meta(open(path)?)
+            .map_err(|err| format!("cannot read footer of {}: {err}", path.display()))?;
         declared += totals;
         if index == 0 {
             scenario = tag;
         } else if tag != scenario {
             let render = |t: &Option<String>| t.clone().unwrap_or_else(|| "no scenario tag".into());
             return Err(format!(
-                "cannot merge shards from different scenarios: {path} carries {:?} but the \
+                "cannot merge shards from different scenarios: {} carries {:?} but the \
                  first shard carries {:?}",
+                path.display(),
                 render(&tag),
                 render(&scenario)
             ));
@@ -987,8 +815,7 @@ fn merge_streams(files: &[String], out: &Path) -> Result<Totals, String> {
     }
     let mut streams = Vec::new();
     for path in files {
-        let file = File::open(path).map_err(|err| format!("cannot read {path}: {err}"))?;
-        streams.push(StreamingCells::new(BufReader::new(file)));
+        streams.push(StreamingCells::new(open(path.as_ref())?));
     }
     std::fs::create_dir_all(out)
         .map_err(|err| format!("cannot create {}: {err}", out.display()))?;
@@ -1059,7 +886,7 @@ fn diff(args: &BenchArgs) -> Result<CtlCode, CtlError> {
 ///
 /// Takes exactly one path — a `metrics.jsonl` file, or a campaign out-dir
 /// containing one. For a directory that also holds a `progress.json` heartbeat
-/// (any streamed run), the heartbeat snapshot is summarized first, so `stats` on
+/// (any run), the heartbeat snapshot is summarized first, so `stats` on
 /// a *running* shard's out-dir doubles as a liveness check. Aggregation streams
 /// the sidecar and validates schema and canonical coordinate order as it goes.
 fn stats(args: &BenchArgs) -> Result<CtlCode, CtlError> {
@@ -1153,8 +980,8 @@ fn dispatch(subcommand: &str, args: &BenchArgs) -> Result<CtlCode, CtlError> {
         ));
     }
     match subcommand {
-        "run" => run(args),
-        "resume" => resume(args),
+        "run" => run(args, false),
+        "resume" => run(args, true),
         "supervise" => supervise(args),
         "bench" => bench(args),
         "merge" => merge(args),
@@ -1164,7 +991,7 @@ fn dispatch(subcommand: &str, args: &BenchArgs) -> Result<CtlCode, CtlError> {
         other => Err(CtlError::Usage(format!(
             "unknown subcommand {other:?}; usage: campaign_ctl \
              <run|resume|supervise|bench|merge|diff|stats|fuzz> [--smoke] [--scenario FILE] \
-             [--stream] [--metrics] [--shard I/K] [--threads N] [--out DIR] \
+             [--metrics] [--shard I/K] [--threads N] [--out DIR] \
              [--shards K] [--chaos SPEC] [--max-attempts N] [--backoff-ms MS] \
              [--poll-ms MS] [--stall-polls N] \
              [--budget N] [--seed S] [--replay FILE] [--freeze] \

@@ -2,10 +2,9 @@
 //! executed as concrete attacks just beyond the tight thresholds.
 //!
 //! The attacks carry hand-built adversaries, so they are not plain campaign cells;
-//! they run through the engine's order-preserving parallel map instead (each worker
-//! builds and runs one attack, the report prints in canonical order).
+//! each one is built, run and reported in turn.
 //!
-//! Usage: `impossibility_attacks [--threads N]`
+//! Usage: `impossibility_attacks`
 
 use bsm_bench::BenchArgs;
 use bsm_core::attacks::{
@@ -58,17 +57,16 @@ fn report(attack: Attack) -> String {
 }
 
 fn main() {
-    let args = BenchArgs::parse().warn_unknown();
-    let jobs: Vec<Box<dyn Fn() -> Attack + Send + Sync>> = vec![
-        Box::new(split_brain_attack),
-        Box::new(|| relay_denial_attack(Topology::Bipartite)),
-        Box::new(|| relay_denial_attack(Topology::OneSided)),
-        Box::new(|| full_side_partition_attack(Topology::OneSided)),
-        Box::new(|| full_side_partition_attack(Topology::Bipartite)),
+    BenchArgs::parse().warn_unknown();
+    let attacks: [fn() -> Attack; 5] = [
+        split_brain_attack,
+        || relay_denial_attack(Topology::Bipartite),
+        || relay_denial_attack(Topology::OneSided),
+        || full_side_partition_attack(Topology::OneSided),
+        || full_side_partition_attack(Topology::Bipartite),
     ];
-    let sections = args.executor().map(jobs, |job| report(job()));
     println!("# E3–E5 — lower-bound constructions as executable attacks\n");
-    for section in sections {
-        println!("{section}");
+    for attack in attacks {
+        println!("{}", report(attack()));
     }
 }

@@ -13,7 +13,6 @@
 //! * `--smoke` — the small CI grid instead of the full sweep,
 //! * `--scenario FILE` — load the campaign from a declarative scenario file
 //!   (see `docs/SCENARIOS.md`); mutually exclusive with `--smoke`,
-//! * `--stream` — streamed export/merge (constant memory; see `campaign_ctl`),
 //! * `--metrics` — write the per-cell telemetry sidecar (`metrics.jsonl`) next to
 //!   the report artifacts; never changes a report byte (see `campaign_ctl stats`),
 //! * `--budget N` — fuzzing case budget for `campaign_ctl fuzz`,
@@ -32,8 +31,8 @@
 //!
 //! The vocabulary is deliberately shared across subcommands: `campaign_ctl resume`
 //! takes the *same* `--smoke`/`--shard`/`--threads`/`--out` flags as the interrupted
-//! `run --stream` it finishes, so an operator (or the future coordinator daemon)
-//! replays the original invocation with only the subcommand swapped.
+//! `run` it finishes, so an operator (or `campaign_ctl supervise`) replays the
+//! original invocation with only the subcommand swapped.
 
 use bsm_engine::supervise::ChaosSpec;
 use bsm_engine::{Executor, ShardPlan};
@@ -60,9 +59,6 @@ pub struct BenchArgs {
     /// Scenario file from `--scenario` (a declarative campaign description; see
     /// `docs/SCENARIOS.md`).
     pub scenario: Option<PathBuf>,
-    /// `true` when `--stream` was passed (streamed export/merge instead of the
-    /// in-memory report path).
-    pub stream: bool,
     /// `true` when `--metrics` was passed (write the `metrics.jsonl` telemetry
     /// sidecar alongside the report artifacts).
     pub metrics: bool,
@@ -110,7 +106,6 @@ impl Default for BenchArgs {
             out: None,
             smoke: false,
             scenario: None,
-            stream: false,
             metrics: false,
             budget: None,
             seed: None,
@@ -171,7 +166,6 @@ impl BenchArgs {
                     Some(file) => parsed.scenario = Some(PathBuf::from(file)),
                     None => parsed.unknown.push("--scenario (expects a file)".into()),
                 },
-                "--stream" => parsed.stream = true,
                 "--metrics" => parsed.metrics = true,
                 "--budget" => match value(&mut iter).and_then(|v| v.parse::<u64>().ok()) {
                     Some(n) if n > 0 => parsed.budget = Some(n),
@@ -252,8 +246,8 @@ impl fmt::Display for BenchArgs {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "k={:?} verify={} threads={:?} seeds={} shard={} smoke={} scenario={:?} stream={} \
-             metrics={} budget={:?} seed={:?} replay={:?} freeze={} shards={:?} chaos={} \
+            "k={:?} verify={} threads={:?} seeds={} shard={} smoke={} scenario={:?} metrics={} \
+             budget={:?} seed={:?} replay={:?} freeze={} shards={:?} chaos={} \
              max_attempts={:?} backoff_ms={:?} poll_ms={:?} stall_polls={:?} files={}",
             self.k,
             self.verify,
@@ -262,7 +256,6 @@ impl fmt::Display for BenchArgs {
             self.shard.map_or_else(|| "none".to_string(), |p| p.to_string()),
             self.smoke,
             self.scenario,
-            self.stream,
             self.metrics,
             self.budget,
             self.seed,
@@ -322,7 +315,6 @@ mod tests {
             "--out",
             "target/shards",
             "--smoke",
-            "--stream",
             "--metrics",
             "a.json",
             "b.json",
@@ -331,14 +323,13 @@ mod tests {
         assert_eq!((plan.index(), plan.count()), (1, 3));
         assert_eq!(parsed.out.as_deref(), Some(std::path::Path::new("target/shards")));
         assert!(parsed.smoke);
-        assert!(parsed.stream);
         assert_eq!(parsed.files, vec!["a.json".to_string(), "b.json".to_string()]);
         assert!(parsed.unknown.is_empty());
         assert!(parsed.metrics);
         assert!(parsed.to_string().contains("shard=2/3"));
-        assert!(parsed.to_string().contains("stream=true"));
         assert!(parsed.to_string().contains("metrics=true"));
-        assert!(!args(&[]).stream, "--stream must be off by default");
+        // Every run streams; the old opt-in flag is now an unknown argument.
+        assert_eq!(args(&["--stream"]).unknown, vec!["--stream".to_string()]);
         assert!(!args(&[]).metrics, "--metrics must be off by default");
     }
 

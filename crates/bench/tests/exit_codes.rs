@@ -4,7 +4,7 @@
 //! 2 usage, 3 findings, 4 degraded — and scripts and CI gates branch on it, so
 //! every code is pinned here against the real binary.
 
-use bsm_engine::{CampaignBuilder, Executor};
+use bsm_engine::{CampaignBuilder, Executor, StreamingExporter};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -32,15 +32,37 @@ fn write_report(path: &Path, seed_start: u64) {
     std::fs::write(path, bsm_engine::to_json(&report)).unwrap();
 }
 
+/// Writes the same tiny campaign as a streamed `report.jsonl` export to `path`,
+/// tagged with `scenario` when given.
+fn write_stream(path: &Path, scenario: Option<&str>) {
+    let campaign = CampaignBuilder::new().sizes([2]).seeds(0..1).build();
+    let mut buf = Vec::new();
+    let mut exporter = StreamingExporter::new(&mut buf);
+    if let Some(tag) = scenario {
+        exporter.set_scenario(tag);
+    }
+    Executor::new().threads(1).run_streaming(&campaign, |cell| exporter.write_cell(&cell)).unwrap();
+    exporter.finish().unwrap();
+    std::fs::write(path, buf).unwrap();
+}
+
 #[test]
 fn success_is_0() {
     let dir = scratch("success");
     let report = dir.join("a.json");
     write_report(&report, 0);
     let path = report.to_str().unwrap();
+    let stream = dir.join("a.jsonl");
+    write_stream(&stream, None);
     let merged = dir.join("merged");
-    assert_eq!(code_of(&["merge", path, "--out", merged.to_str().unwrap()]), 0);
+    assert_eq!(code_of(&["merge", stream.to_str().unwrap(), "--out", merged.to_str().unwrap()]), 0);
     assert_eq!(code_of(&["diff", path, path]), 0, "identical reports are not findings");
+    let merged_json = merged.join("report.json");
+    assert_eq!(
+        code_of(&["diff", path, merged_json.to_str().unwrap()]),
+        0,
+        "a merged stream diffs clean against the document export"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -51,6 +73,20 @@ fn internal_errors_are_1() {
     let missing = missing.to_str().unwrap();
     assert_eq!(code_of(&["merge", missing, "--out", dir.join("out").to_str().unwrap()]), 1);
     assert_eq!(code_of(&["stats", missing]), 1);
+    // Shards of different scenarios must not splice into one report.
+    let (tagged, untagged) = (dir.join("tagged.jsonl"), dir.join("untagged.jsonl"));
+    write_stream(&tagged, Some("name = \"x\""));
+    write_stream(&untagged, None);
+    let out = dir.join("mixed");
+    let mixed = [tagged.to_str().unwrap(), untagged.to_str().unwrap()];
+    assert_eq!(code_of(&["merge", mixed[0], mixed[1], "--out", out.to_str().unwrap()]), 1);
+    // A nesting bomb is a positioned syntax error, not a stack overflow.
+    for name in ["deep.json", "deep.jsonl"] {
+        let deep = dir.join(name);
+        std::fs::write(&deep, "[".repeat(200_000)).unwrap();
+        let deep = deep.to_str().unwrap();
+        assert_eq!(code_of(&["diff", deep, deep]), 1, "diff on nested {name}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -59,6 +95,7 @@ fn usage_errors_are_2() {
     // The invocation itself is wrong: before any work starts, exit 2.
     assert_eq!(code_of(&["frobnicate"]), 2, "unknown subcommand");
     assert_eq!(code_of(&["run", "--smoke", "--frobnicate"]), 2, "unknown flag");
+    assert_eq!(code_of(&["run", "--smoke", "--stream"]), 2, "every run streams; no flag");
     assert_eq!(code_of(&["run", "--smoke", "--budget", "9"]), 2, "fuzz flag on run");
     assert_eq!(code_of(&["run", "--smoke", "--shards", "2"]), 2, "supervise flag on run");
     assert_eq!(code_of(&["supervise", "--smoke"]), 2, "supervise requires --shards");

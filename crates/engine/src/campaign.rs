@@ -26,12 +26,12 @@ impl Campaign {
     ///
     /// This is the escape hatch for experiments whose cells do not form a cross
     /// product (e.g. the cost tables, which pick one corruption budget per size).
-    /// Note that [`CampaignReport::merge`] recombines shard reports in *coordinate*
-    /// order; if the given order differs from it, a merged export is deterministic
-    /// but not byte-identical to an unsharded export of this campaign (built
-    /// campaigns always agree — [`CampaignBuilder::build`] normalizes its axes).
+    /// Note that [`CellMerge`] recombines shard streams in *coordinate* order; if the
+    /// given order differs from it, a merged export is deterministic but not
+    /// byte-identical to an unsharded export of this campaign (built campaigns always
+    /// agree — [`CampaignBuilder::build`] normalizes its axes).
     ///
-    /// [`CampaignReport::merge`]: crate::report::CampaignReport::merge
+    /// [`CellMerge`]: crate::report::CellMerge
     pub fn from_specs(specs: Vec<ScenarioSpec>) -> Self {
         Self { specs }
     }
@@ -60,10 +60,10 @@ impl Campaign {
     ///
     /// Every process of a distributed run expands the same campaign (deterministic, no
     /// coordination needed) and keeps its own slice; because the slices are contiguous
-    /// runs of the canonical order, [`CampaignReport::merge`] of the shard reports is
+    /// runs of the canonical order, the [`CellMerge`] of the shard streams is
     /// byte-identical to running the whole campaign in one process.
     ///
-    /// [`CampaignReport::merge`]: crate::report::CampaignReport::merge
+    /// [`CellMerge`]: crate::report::CellMerge
     pub fn shard(&self, plan: ShardPlan) -> Campaign {
         Campaign { specs: self.specs[plan.range(self.specs.len())].to_vec() }
     }
@@ -118,7 +118,6 @@ pub struct CampaignBuilder {
     fault_plans: Vec<FaultSpec>,
     seeds: Range<u64>,
     skip_unsolvable: bool,
-    shard: Option<ShardPlan>,
 }
 
 impl Default for CampaignBuilder {
@@ -139,7 +138,6 @@ impl CampaignBuilder {
             fault_plans: vec![FaultSpec::NONE],
             seeds: 0..1,
             skip_unsolvable: false,
-            shard: None,
         }
     }
 
@@ -202,22 +200,12 @@ impl CampaignBuilder {
         self
     }
 
-    /// Restricts [`build`](Self::build) to one shard of the expanded work list (see
-    /// [`Campaign::shard`]). `None` (the default) keeps the whole campaign.
-    ///
-    /// Sharding happens *after* the full expansion, so every shard of a distributed
-    /// run agrees on the canonical work list and the slices partition it exactly.
-    pub fn shard(mut self, plan: impl Into<Option<ShardPlan>>) -> Self {
-        self.shard = plan.into();
-        self
-    }
-
     /// Expands the cross product into a campaign, in canonical order:
     /// size → topology → auth → corruption pair → adversary → fault plan → seed.
     ///
     /// Each axis is treated as a **set**: values are sorted and deduplicated before
     /// expansion, so the canonical order coincides exactly with the coordinate order
-    /// of [`ScenarioSpec`]'s `Ord` — the order [`CampaignReport::merge`] restores.
+    /// of [`ScenarioSpec`]'s `Ord` — the order [`CellMerge`] restores.
     /// This is what makes the shard-merge byte-identity guarantee unconditional for
     /// built campaigns, regardless of the order axes were passed in.
     ///
@@ -225,7 +213,7 @@ impl CampaignBuilder {
     /// dropped; with [`skip_unsolvable`](Self::skip_unsolvable), provably unsolvable
     /// cells are dropped too.
     ///
-    /// [`CampaignReport::merge`]: crate::report::CampaignReport::merge
+    /// [`CellMerge`]: crate::report::CellMerge
     pub fn build(self) -> Campaign {
         fn axis<T: Ord + Copy>(values: &[T]) -> Vec<T> {
             let mut values = values.to_vec();
@@ -267,11 +255,7 @@ impl CampaignBuilder {
                 }
             }
         }
-        let campaign = Campaign { specs };
-        match self.shard {
-            Some(plan) => campaign.shard(plan),
-            None => campaign,
-        }
+        Campaign { specs }
     }
 }
 
@@ -404,9 +388,7 @@ mod tests {
             for index in 0..count {
                 let plan = ShardPlan::new(index, count).unwrap();
                 let shard = campaign.shard(plan);
-                // The builder-level shard agrees with the campaign-level slice.
-                let built = CampaignBuilder::new().sizes([2, 3, 4]).seeds(0..2).shard(plan).build();
-                assert_eq!(built.specs(), shard.specs(), "builder shard {plan} diverged");
+                assert_eq!(shard.len(), plan.range(campaign.len()).len(), "shard {plan} size");
                 rejoined.extend_from_slice(shard.specs());
             }
             assert_eq!(rejoined, campaign.specs(), "{count} shards do not rejoin");
@@ -414,11 +396,10 @@ mod tests {
     }
 
     #[test]
-    fn builder_shard_none_keeps_the_whole_campaign() {
-        let whole = CampaignBuilder::new().build();
-        let explicit = CampaignBuilder::new().shard(None).build();
-        assert_eq!(whole, explicit);
-        assert_eq!(whole, CampaignBuilder::new().shard(ShardPlan::WHOLE).build());
+    fn the_whole_shard_keeps_the_whole_campaign() {
+        let whole = CampaignBuilder::new().sizes([2, 3]).seeds(0..2).build();
+        assert_eq!(whole.shard(ShardPlan::WHOLE), whole);
+        assert!(Campaign::from_specs(Vec::new()).shard(ShardPlan::WHOLE).is_empty());
     }
 
     #[test]

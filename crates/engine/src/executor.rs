@@ -2,28 +2,35 @@
 //!
 //! Workers are `std::thread` scoped threads over a shared work queue (an atomic cursor
 //! into the campaign's canonical work list). Every result is keyed by its index in
-//! that list and merged back in canonical order after the workers join, so the
-//! aggregated [`CampaignReport`] — and everything exported from it — is **bit-identical
-//! regardless of the thread count** or of which worker happened to run which cell.
+//! that list, and a reorder buffer hands the results to the caller's sink **in
+//! canonical order**, so everything built from the cell stream — a streamed
+//! `report.jsonl`, the collected [`CampaignReport`] — is **bit-identical regardless
+//! of the thread count** or of which worker happened to run which cell.
+//!
+//! There is one scheduler ([`Executor::run_streaming_telemetry`]) and one cell runner;
+//! [`Executor::run_streaming`] drops the telemetry and [`Executor::run`] collects the
+//! records. Callers that want part of a campaign pass [`Campaign::shard`] or
+//! [`Campaign::slice`].
 //!
 //! The thread count comes from (in order of precedence) [`Executor::threads`], the
 //! `BSM_THREADS` environment variable, and the machine's available parallelism.
 
 use crate::campaign::Campaign;
-use crate::grid::{ScenarioSpec, ShardPlan};
+use crate::grid::ScenarioSpec;
 use crate::progress::Progress;
 use crate::report::{CampaignReport, CellOutcome, CellRecord, CellStats, ExecutionStats, Totals};
 use crate::telemetry::CellTelemetry;
 use bsm_core::solvability::{characterize, Solvability};
 use std::collections::BTreeMap;
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex};
+use std::sync::mpsc;
 use std::time::Instant;
 
 /// Name of the environment variable that overrides the default worker-thread count.
 pub const THREADS_ENV: &str = "BSM_THREADS";
 
-/// Runs campaigns (and arbitrary order-preserving parallel maps) on a worker pool.
+/// Runs campaigns on a worker pool.
 #[derive(Debug, Clone)]
 pub struct Executor {
     threads: usize,
@@ -62,84 +69,26 @@ impl Executor {
         self.threads
     }
 
-    /// Runs every cell of `campaign` and aggregates the results in canonical order.
+    /// Runs every cell of `campaign` and collects the results in canonical order:
+    /// [`run_streaming`](Self::run_streaming) with a sink that keeps every record.
     ///
     /// Unsolvable cells are recorded (not errors); cells that fail to build or run are
     /// recorded as failed. The returned [`ExecutionStats`] carries the wall-clock side
     /// of the run and is intentionally not part of the deterministic report.
     pub fn run(&self, campaign: &Campaign) -> (CampaignReport, ExecutionStats) {
-        let start = Instant::now();
-        let cells = self.map(campaign.specs().to_vec(), run_cell);
-        let stats = ExecutionStats {
-            threads: self.threads.min(campaign.len()).max(1),
-            scenarios: campaign.len(),
-            elapsed: start.elapsed(),
+        let mut cells = Vec::with_capacity(campaign.len());
+        let collect = |cell| {
+            cells.push(cell);
+            Ok::<(), Infallible>(())
         };
+        let Ok((_, stats)) = self.run_streaming(campaign, collect);
         (CampaignReport::new(cells), stats)
-    }
-
-    /// Runs every cell of `campaign` like [`run`](Self::run), additionally returning
-    /// one [`CellTelemetry`] per cell, index-aligned with
-    /// [`CampaignReport::cells`](crate::report::CampaignReport::cells).
-    ///
-    /// Telemetry is strictly a side channel: the report built here is identical to
-    /// the one [`run`](Self::run) builds (the cells are the same values, produced by
-    /// the same code path), so exports stay byte-identical with telemetry on or off.
-    /// Each cell's crypto counters are attributed exactly via the worker thread's
-    /// thread-local delta around that cell — correct under any thread count because
-    /// a cell runs entirely on one worker.
-    pub fn run_telemetry(
-        &self,
-        campaign: &Campaign,
-    ) -> (CampaignReport, Vec<CellTelemetry>, ExecutionStats) {
-        let start = Instant::now();
-        let results = self.map(campaign.specs().to_vec(), run_cell_instrumented);
-        let (cells, telemetry): (Vec<_>, Vec<_>) = results.into_iter().unzip();
-        let stats = ExecutionStats {
-            threads: self.threads.min(campaign.len()).max(1),
-            scenarios: campaign.len(),
-            elapsed: start.elapsed(),
-        };
-        (CampaignReport::new(cells), telemetry, stats)
-    }
-
-    /// Runs one shard of `campaign` (see [`Campaign::shard`]) and aggregates its slice
-    /// of the results in canonical order.
-    ///
-    /// This is the distributed entry point: each process runs its own shard, exports
-    /// the shard report, and [`CampaignReport::merge`] recombines the exports into the
-    /// single-process report byte for byte.
-    ///
-    /// [`CampaignReport::merge`]: crate::report::CampaignReport::merge
-    pub fn run_shard(
-        &self,
-        campaign: &Campaign,
-        plan: ShardPlan,
-    ) -> (CampaignReport, ExecutionStats) {
-        self.run(&campaign.shard(plan))
     }
 
     /// Runs every cell of `campaign`, delivering each completed [`CellRecord`] to
     /// `sink` **in canonical order** and then dropping it — the full record vector is
-    /// never materialized.
-    ///
-    /// This is the streaming counterpart of [`run`](Self::run) for campaigns too
-    /// large to hold every record in memory: aggregate counters are folded into a
-    /// rolling [`Totals`] (returned alongside the [`ExecutionStats`]), and the sink —
-    /// typically a [`StreamingExporter`] — sees exactly the cell sequence
-    /// [`CampaignReport::cells`] would contain, so a streamed export is byte-identical
-    /// to the in-memory one.
-    ///
-    /// Workers run cells in parallel and complete them out of order; a reorder buffer
-    /// holds cells finished ahead of the emission frontier, and a **bounded** channel
-    /// applies backpressure: when the sink (e.g. a slow disk) falls behind, workers
-    /// block instead of piling completed cells into memory, so cells ahead of the
-    /// frontier stay bounded by a small multiple of the worker count. (Only a
-    /// pathologically slow *head* cell can grow the buffer beyond that — emission
-    /// cannot pass it, but the cells behind it must be received to reach it.)
-    ///
-    /// [`StreamingExporter`]: crate::export::StreamingExporter
-    /// [`CampaignReport::cells`]: crate::report::CampaignReport::cells
+    /// never materialized. Aggregate counters are folded into a rolling [`Totals`],
+    /// returned alongside the [`ExecutionStats`].
     ///
     /// # Errors
     ///
@@ -150,22 +99,24 @@ impl Executor {
         campaign: &Campaign,
         mut sink: impl FnMut(CellRecord) -> Result<(), E>,
     ) -> Result<(Totals, ExecutionStats), E> {
-        let mut totals = Totals::default();
-        let stats = self.stream_ordered(campaign, run_cell, |record| {
-            totals.record(&record.outcome);
-            sink(record)
-        })?;
-        Ok((totals, stats))
+        self.run_streaming_telemetry(campaign, |record, _| sink(record))
     }
 
-    /// The streaming counterpart of [`run_telemetry`](Self::run_telemetry):
-    /// [`run_streaming`](Self::run_streaming) where the sink also receives each
-    /// cell's [`CellTelemetry`], in the same canonical order as the records.
+    /// The scheduler: [`run_streaming`](Self::run_streaming) where the sink also
+    /// receives each cell's [`CellTelemetry`], in the same canonical order as the
+    /// records.
     ///
     /// The telemetry is produced whether or not the sink keeps it, and nothing about
-    /// the record sequence or the folded [`Totals`] depends on it — a sink that
-    /// ignores its second argument emits exactly the artifacts
-    /// [`run_streaming`](Self::run_streaming) would.
+    /// the record sequence or the folded [`Totals`] depends on it, so a sink that
+    /// ignores its second argument emits exactly the artifacts one that keeps it does.
+    ///
+    /// Workers run cells in parallel and complete them out of order; a reorder buffer
+    /// holds cells finished ahead of the emission frontier, and a **bounded** channel
+    /// applies backpressure: when the sink (e.g. a slow disk) falls behind, workers
+    /// block instead of piling completed cells into memory, so cells ahead of the
+    /// frontier stay bounded by a small multiple of the worker count. (Only a
+    /// pathologically slow *head* cell can grow the buffer beyond that — emission
+    /// cannot pass it, but the cells behind it must be received to reach it.)
     ///
     /// # Errors
     ///
@@ -175,50 +126,21 @@ impl Executor {
         campaign: &Campaign,
         mut sink: impl FnMut(CellRecord, CellTelemetry) -> Result<(), E>,
     ) -> Result<(Totals, ExecutionStats), E> {
-        let mut totals = Totals::default();
-        let stats =
-            self.stream_ordered(campaign, run_cell_instrumented, |(record, telemetry)| {
-                totals.record(&record.outcome);
-                sink(record, telemetry)
-            })?;
-        Ok((totals, stats))
-    }
-
-    /// The generic ordered-streaming core behind
-    /// [`run_streaming`](Self::run_streaming) and
-    /// [`run_streaming_telemetry`](Self::run_streaming_telemetry): runs `job` on
-    /// every spec across the worker pool and hands each result to `emit` **in
-    /// canonical order**, never materializing the result vector.
-    ///
-    /// Workers run cells in parallel and complete them out of order; a reorder
-    /// buffer holds results finished ahead of the emission frontier, and a
-    /// **bounded** channel applies backpressure: when `emit` (e.g. a slow disk)
-    /// falls behind, workers block instead of piling completed results into memory,
-    /// so results ahead of the frontier stay bounded by a small multiple of the
-    /// worker count. (Only a pathologically slow *head* cell can grow the buffer
-    /// beyond that — emission cannot pass it, but the results behind it must be
-    /// received to reach it.)
-    fn stream_ordered<T: Send, E>(
-        &self,
-        campaign: &Campaign,
-        job: impl Fn(ScenarioSpec) -> T + Sync,
-        mut emit: impl FnMut(T) -> Result<(), E>,
-    ) -> Result<ExecutionStats, E> {
         let start = Instant::now();
         let specs = campaign.specs();
         let total = specs.len();
         let workers = self.threads.min(total);
         let progress = self.progress;
         let cursor = AtomicUsize::new(0);
+        let mut totals = Totals::default();
         let mut failure: Option<E> = None;
 
         std::thread::scope(|scope| {
-            // Bounded: an emitter slower than the workers must throttle them, not
-            // let completed results accumulate toward O(campaign) — the cap this
-            // mode exists to remove. Two slots per worker keeps the pipeline full.
-            let (tx, rx) = mpsc::sync_channel::<(usize, T)>(workers.max(1) * 2);
+            // Bounded: a sink slower than the workers must throttle them, not let
+            // completed cells accumulate toward O(campaign). Two slots per worker
+            // keeps the pipeline full.
+            let (tx, rx) = mpsc::sync_channel(workers.max(1) * 2);
             let cursor = &cursor;
-            let job = &job;
             for _ in 0..workers {
                 let tx = tx.clone();
                 scope.spawn(move || loop {
@@ -226,21 +148,22 @@ impl Executor {
                     if idx >= total {
                         break;
                     }
-                    // A send error means the receiver gave up (emit failure): stop.
-                    if tx.send((idx, job(specs[idx]))).is_err() {
+                    // A send error means the receiver gave up (sink failure): stop.
+                    if tx.send((idx, run_cell(specs[idx]))).is_err() {
                         break;
                     }
                 });
             }
             drop(tx);
-            // Reorder buffer: results completed ahead of the emission frontier wait
+            // Reorder buffer: cells completed ahead of the emission frontier wait
             // here; `next` is the index the canonical order emits next.
-            let mut pending: BTreeMap<usize, T> = BTreeMap::new();
+            let mut pending = BTreeMap::new();
             let mut next = 0usize;
-            'receive: for (idx, item) in rx {
-                pending.insert(idx, item);
-                while let Some(item) = pending.remove(&next) {
-                    if let Err(err) = emit(item) {
+            'receive: for (idx, cell) in rx {
+                pending.insert(idx, cell);
+                while let Some((record, telemetry)) = pending.remove(&next) {
+                    totals.record(&record.outcome);
+                    if let Err(err) = sink(record, telemetry) {
                         failure = Some(err);
                         break 'receive;
                     }
@@ -254,165 +177,24 @@ impl Executor {
         if let Some(err) = failure {
             return Err(err);
         }
-        Ok(ExecutionStats {
-            threads: self.threads.min(total).max(1),
-            scenarios: total,
-            elapsed: start.elapsed(),
-        })
-    }
-
-    /// Runs one shard of `campaign` in streaming mode: [`run_streaming`] over the
-    /// shard's slice of the canonical work list (see [`Campaign::shard`]).
-    ///
-    /// This is the distributed entry point for campaigns that do not fit in memory:
-    /// each process streams its shard's cells into a
-    /// [`StreamingExporter`](crate::export::StreamingExporter), and the coordinator
-    /// recombines the shard streams with a k-way
-    /// [`CellMerge`](crate::report::CellMerge) into an export byte-identical to the
-    /// unsharded in-memory run.
-    ///
-    /// [`run_streaming`]: Self::run_streaming
-    ///
-    /// # Errors
-    ///
-    /// The first error the sink returns, as in [`run_streaming`](Self::run_streaming).
-    pub fn run_shard_streaming<E>(
-        &self,
-        campaign: &Campaign,
-        plan: ShardPlan,
-        sink: impl FnMut(CellRecord) -> Result<(), E>,
-    ) -> Result<(Totals, ExecutionStats), E> {
-        self.run_streaming(&campaign.shard(plan), sink)
-    }
-
-    /// Runs one shard of `campaign` in streaming-telemetry mode:
-    /// [`run_streaming_telemetry`](Self::run_streaming_telemetry) over the shard's
-    /// slice of the canonical work list (see [`Campaign::shard`]).
-    ///
-    /// This is how `campaign_ctl run --stream --metrics` writes a `metrics.jsonl`
-    /// sidecar next to each shard's `report.jsonl` without perturbing the report
-    /// bytes.
-    ///
-    /// # Errors
-    ///
-    /// The first error the sink returns, as in [`run_streaming`](Self::run_streaming).
-    pub fn run_shard_streaming_telemetry<E>(
-        &self,
-        campaign: &Campaign,
-        plan: ShardPlan,
-        sink: impl FnMut(CellRecord, CellTelemetry) -> Result<(), E>,
-    ) -> Result<(Totals, ExecutionStats), E> {
-        self.run_streaming_telemetry(&campaign.shard(plan), sink)
-    }
-
-    /// Runs an explicit contiguous sub-range of `campaign`'s canonical work list in
-    /// streaming mode: [`run_streaming`] over [`Campaign::slice`].
-    ///
-    /// This is the resumption entry point: `campaign_ctl resume` salvages the cell
-    /// prefix a crashed shard already exported, computes the un-run tail of the
-    /// shard's range with [`ShardPlan::remainder`], and re-runs exactly that range —
-    /// the emitted cells splice after the salvaged prefix into the sequence an
-    /// uninterrupted [`run_shard_streaming`](Self::run_shard_streaming) would emit.
-    ///
-    /// [`run_streaming`]: Self::run_streaming
-    ///
-    /// # Errors
-    ///
-    /// The first error the sink returns, as in [`run_streaming`](Self::run_streaming).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `range` is out of bounds for the work list (see
-    /// [`Campaign::slice`]).
-    pub fn run_range_streaming<E>(
-        &self,
-        campaign: &Campaign,
-        range: std::ops::Range<usize>,
-        sink: impl FnMut(CellRecord) -> Result<(), E>,
-    ) -> Result<(Totals, ExecutionStats), E> {
-        self.run_streaming(&campaign.slice(range), sink)
-    }
-
-    /// Applies `f` to every item on the worker pool, returning the results **in input
-    /// order** (a deterministic parallel map).
-    ///
-    /// This is the engine's generic escape hatch: experiments whose jobs are not plain
-    /// scenarios (e.g. the tailored impossibility attacks) get the same parallelism and
-    /// ordering guarantee as campaigns.
-    pub fn map<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(T) -> R + Sync,
-    {
-        let total = items.len();
-        if total == 0 {
-            return Vec::new();
-        }
-        let workers = self.threads.min(total).max(1);
-        // The shared work queue: an atomic cursor over the slotted items. Workers take
-        // the item at their claimed index; results keep the index so the merge below
-        // can restore canonical order no matter which worker finished first.
-        let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|i| Mutex::new(Some(i))).collect();
-        let cursor = AtomicUsize::new(0);
-        let done = AtomicUsize::new(0);
-        let start = Instant::now();
-        let f = &f;
-        let slots = &slots;
-        let cursor = &cursor;
-        let done = &done;
-        let progress = self.progress;
-
-        let mut indexed: Vec<(usize, R)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(move || {
-                        let mut local: Vec<(usize, R)> = Vec::new();
-                        loop {
-                            let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                            if idx >= total {
-                                break;
-                            }
-                            let item = slots[idx]
-                                .lock()
-                                .expect("work slot lock is never poisoned")
-                                .take()
-                                .expect("each slot is claimed exactly once");
-                            local.push((idx, f(item)));
-                            let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
-                            progress.tick(finished, total, start);
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("worker threads do not panic"))
-                .collect()
-        });
-        indexed.sort_unstable_by_key(|(idx, _)| *idx);
-        indexed.into_iter().map(|(_, r)| r).collect()
+        let stats =
+            ExecutionStats { threads: workers.max(1), scenarios: total, elapsed: start.elapsed() };
+        Ok((totals, stats))
     }
 }
 
-/// Runs one campaign cell: characterize, then execute the prescribed plan.
-fn run_cell(spec: ScenarioSpec) -> CellRecord {
-    run_cell_instrumented(spec).0
-}
-
-/// Runs one campaign cell and attributes its cost: the crypto-counter delta is the
-/// *worker thread's* thread-local delta around the cell — exact under any thread
-/// count, because each cell runs start to finish on the one thread that claimed it
-/// (see [`bsm_crypto::counters::thread_snapshot`]).
+/// Runs one campaign cell — characterize, then execute the prescribed plan — and
+/// attributes its cost: the crypto-counter delta is the *worker thread's*
+/// thread-local delta around the cell — exact under any thread count, because each
+/// cell runs start to finish on the one thread that claimed it (see
+/// [`bsm_crypto::counters::thread_snapshot`]).
 ///
-/// The [`CellRecord`] half is exactly what [`run_cell`] produces; the instrumentation
-/// reads state the run drops anyway (the thread counters, [`Metrics`] breakdown and
-/// corrupted set of the outcome), so instrumented and plain runs build identical
-/// records.
+/// The instrumentation reads state the run drops anyway (the thread counters,
+/// [`Metrics`] breakdown and corrupted set of the outcome), so it never changes the
+/// [`CellRecord`].
 ///
 /// [`Metrics`]: bsm_net::Metrics
-fn run_cell_instrumented(spec: ScenarioSpec) -> (CellRecord, CellTelemetry) {
+fn run_cell(spec: ScenarioSpec) -> (CellRecord, CellTelemetry) {
     let before = bsm_crypto::counters::thread_snapshot();
     let start = Instant::now();
     let (outcome, telemetry) = match spec.setting() {
@@ -456,14 +238,9 @@ fn run_cell_instrumented(spec: ScenarioSpec) -> (CellRecord, CellTelemetry) {
     };
     let crypto = bsm_crypto::counters::thread_snapshot() - before;
     let wall_nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    let status = match &outcome {
-        CellOutcome::Completed(_) => "completed",
-        CellOutcome::Unsolvable { .. } => "unsolvable",
-        CellOutcome::Failed { .. } => "failed",
-    };
     let telemetry = match telemetry {
         Some(partial) => CellTelemetry { crypto, wall_nanos, ..partial },
-        None => CellTelemetry::without_run(spec, status, crypto, wall_nanos),
+        None => CellTelemetry::without_run(spec, outcome.status(), crypto, wall_nanos),
     };
     (CellRecord { spec, outcome }, telemetry)
 }
@@ -477,6 +254,7 @@ fn parse_threads(value: Option<&str>) -> Option<usize> {
 mod tests {
     use super::*;
     use crate::campaign::CampaignBuilder;
+    use crate::grid::ShardPlan;
     use bsm_core::harness::AdversarySpec;
     use bsm_core::problem::AuthMode;
     use bsm_net::Topology;
@@ -490,20 +268,6 @@ mod tests {
         assert_eq!(parse_threads(Some("lots")), None);
         assert_eq!(parse_threads(Some("")), None);
         assert_eq!(parse_threads(None), None);
-    }
-
-    #[test]
-    fn map_preserves_input_order() {
-        let executor = Executor::new().threads(4);
-        let doubled = executor.map((0..100usize).collect(), |n| n * 2);
-        assert_eq!(doubled, (0..100usize).map(|n| n * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn map_on_empty_input_spawns_nothing() {
-        let executor = Executor::new().threads(8);
-        let out: Vec<usize> = executor.map(Vec::new(), |n: usize| n);
-        assert!(out.is_empty());
     }
 
     #[test]
@@ -530,7 +294,7 @@ mod tests {
         let mut rejoined = Vec::new();
         for index in 0..3 {
             let plan = ShardPlan::new(index, 3).unwrap();
-            let (report, stats) = executor.run_shard(&campaign, plan);
+            let (report, stats) = executor.run(&campaign.shard(plan));
             assert_eq!(stats.scenarios, plan.range(campaign.len()).len());
             rejoined.extend_from_slice(report.cells());
         }
@@ -565,7 +329,7 @@ mod tests {
         for index in 0..3 {
             let plan = ShardPlan::new(index, 3).unwrap();
             let (totals, stats) = executor
-                .run_shard_streaming(&campaign, plan, |cell| {
+                .run_streaming(&campaign.shard(plan), |cell| {
                     rejoined.push(cell);
                     Ok::<(), std::convert::Infallible>(())
                 })
@@ -584,7 +348,7 @@ mod tests {
         let plan = ShardPlan::new(1, 3).unwrap();
         let mut uninterrupted = Vec::new();
         executor
-            .run_shard_streaming(&campaign, plan, |cell| {
+            .run_streaming(&campaign.shard(plan), |cell| {
                 uninterrupted.push(cell);
                 Ok::<(), std::convert::Infallible>(())
             })
@@ -594,7 +358,7 @@ mod tests {
             let remainder = plan.remainder(campaign.len(), done);
             let mut spliced = uninterrupted[..done].to_vec();
             let (totals, stats) = executor
-                .run_range_streaming(&campaign, remainder, |cell| {
+                .run_streaming(&campaign.slice(remainder), |cell| {
                     spliced.push(cell);
                     Ok::<(), std::convert::Infallible>(())
                 })
@@ -651,18 +415,18 @@ mod tests {
             faults: bsm_net::FaultSpec::NONE,
             seed: 4,
         };
-        let record = run_cell(solvable);
+        let (record, _) = run_cell(solvable);
         let stats = record.outcome.stats().expect("solvable cell completes");
         assert!(stats.messages > 0);
         assert!(stats.signatures > 0);
 
         let unsolvable = ScenarioSpec { auth: AuthMode::Unauthenticated, ..solvable };
         assert!(matches!(
-            run_cell(unsolvable).outcome,
+            run_cell(unsolvable).0.outcome,
             CellOutcome::Unsolvable { ref theorem, .. } if theorem == "Theorem 2"
         ));
 
         let invalid = ScenarioSpec { t_l: 99, ..solvable };
-        assert!(matches!(run_cell(invalid).outcome, CellOutcome::Failed { .. }));
+        assert!(matches!(run_cell(invalid).0.outcome, CellOutcome::Failed { .. }));
     }
 }

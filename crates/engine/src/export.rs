@@ -7,8 +7,9 @@
 //!
 //! # Streaming writers
 //!
-//! Campaigns too large to hold every [`CellRecord`] in memory use the streaming
-//! writers instead of the in-memory [`to_json`]/[`to_csv`] pair:
+//! `campaign_ctl` never holds every [`CellRecord`] of a run in memory; it uses the
+//! streaming writers, which reproduce the in-memory [`to_json`]/[`to_csv`] pair byte
+//! for byte:
 //!
 //! * [`StreamingExporter`] — the **shard side**: writes one [`cell_json`] line per
 //!   completed cell (in strictly increasing coordinate order, enforced) and closes the
@@ -22,8 +23,8 @@
 //!   the same merged stream (CSV has no totals, so no up-front knowledge is needed).
 //!
 //! All three enforce the canonical-coordinate-order invariant: cells must arrive in
-//! strictly increasing [`ScenarioSpec`] order, which is what makes the streamed merge
-//! byte-identical to the in-memory [`CampaignReport::merge`] path.
+//! strictly increasing [`ScenarioSpec`] order, which is what makes the k-way
+//! [`CellMerge`] of shard streams byte-identical to a single-process run.
 //!
 //! # Crash-safe artifact writes
 //!
@@ -38,7 +39,7 @@
 //! [`crate::import::StreamingCells::salvage`] instead of being mistaken for a finished
 //! export.)
 //!
-//! [`CampaignReport::merge`]: crate::report::CampaignReport::merge
+//! [`CellMerge`]: crate::report::CellMerge
 
 use crate::grid::ScenarioSpec;
 use crate::report::{CampaignReport, CellOutcome, CellRecord, Totals};
@@ -326,7 +327,7 @@ pub(crate) fn check_order(
 /// rolling-[`Totals`] footer, written as cells complete.
 ///
 /// This is what lets a shard run campaigns too large to hold every [`CellRecord`] in
-/// memory: [`Executor::run_shard_streaming`] folds each completed cell into the
+/// memory: [`Executor::run_streaming`] folds each completed cell into the
 /// rolling totals, hands it to [`write_cell`](Self::write_cell), and drops it. The
 /// resulting document is JSON lines — one cell object per line, byte-identical to the
 /// objects in [`to_json`]'s `cells` array, closed by a `{"totals": {...}}` footer
@@ -336,7 +337,7 @@ pub(crate) fn check_order(
 /// campaigns always do); out-of-order writes are rejected so a malformed stream can
 /// never be exported in the first place.
 ///
-/// [`Executor::run_shard_streaming`]: crate::executor::Executor::run_shard_streaming
+/// [`Executor::run_streaming`]: crate::executor::Executor::run_streaming
 #[derive(Debug)]
 pub struct StreamingExporter<W: Write> {
     writer: W,

@@ -3,16 +3,15 @@
 //!
 //! [`from_json`] is the inverse of [`crate::export::to_json`]: it parses an exported
 //! campaign document back into a [`CampaignReport`], reconstructing every
-//! [`CellRecord`] — grid coordinates, outcome shape and all outcome fields. This is
-//! what makes campaigns *shardable across processes*: each shard exports its report as
-//! JSON, and the merge step imports the shard documents and recombines them with
-//! [`CampaignReport::merge`] into a report byte-identical to a single-process run.
+//! [`CellRecord`] — grid coordinates, outcome shape and all outcome fields — which is
+//! what `campaign_ctl diff` compares.
 //!
 //! The reader accepts any JSON that the writer can produce (plus insignificant
 //! whitespace and reordered keys) and rejects everything else with a positioned
-//! [`ImportError`]. Totals in the document are *verified* against the cells rather
-//! than trusted, so a hand-edited or truncated document cannot smuggle in
-//! inconsistent aggregates.
+//! [`ImportError`] — including documents nested deeper than [`MAX_DEPTH`], so no
+//! input can exhaust the stack of the recursive-descent parser. Totals in the
+//! document are *verified* against the cells rather than trusted, so a hand-edited
+//! or truncated document cannot smuggle in inconsistent aggregates.
 //!
 //! # Streaming import
 //!
@@ -112,15 +111,23 @@ impl Value {
     }
 }
 
+/// How deep objects and arrays may nest in any document the JSON reader accepts.
+///
+/// Every engine writer stays at 3 levels or less (a `report.json` cell object sits
+/// inside the `cells` array of the top-level object), so the cap only rejects input
+/// no writer produced — before it can overflow the parser's stack.
+pub const MAX_DEPTH: usize = 16;
+
 /// A recursive-descent parser over the document bytes.
 pub(crate) struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
     pub(crate) fn new(text: &'a str) -> Self {
-        Self { bytes: text.as_bytes(), pos: 0 }
+        Self { bytes: text.as_bytes(), pos: 0, depth: 0 }
     }
 
     fn error(&self, message: impl Into<String>) -> ImportError {
@@ -162,8 +169,15 @@ impl<'a> Parser<'a> {
     fn parse_value(&mut self) -> Result<Value, ImportError> {
         self.skip_whitespace();
         match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.error(format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let value = if open == b'{' { self.parse_object() } else { self.parse_array() };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(Value::String(self.parse_string()?)),
             Some(b't') | Some(b'f') => self.parse_bool(),
             Some(b'0'..=b'9') => self.parse_number(),
@@ -911,6 +925,26 @@ mod tests {
         for bad in ["", "[1,]", "{\"a\" 1}", "{\"a\": 1e3}", "\"unclosed", "nope", "{} trailing"] {
             assert!(from_json(bad).is_err(), "{bad:?} should not import");
         }
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_a_positioned_syntax_error_not_a_stack_overflow() {
+        let deep = |open: &str, close: &str, levels: usize| {
+            format!("{}1{}", open.repeat(levels), close.repeat(levels))
+        };
+        assert!(Parser::new(&deep("[", "]", MAX_DEPTH)).parse_document().is_ok());
+        assert!(Parser::new(&deep("{\"a\": ", "}", MAX_DEPTH)).parse_document().is_ok());
+        let err = Parser::new(&deep("[", "]", MAX_DEPTH + 1)).parse_document().unwrap_err();
+        let message = format!("nesting deeper than {MAX_DEPTH} levels");
+        assert_eq!(err, ImportError::Syntax { offset: MAX_DEPTH, message: message.clone() });
+        // 200 000 unclosed brackets: far past any stack, refused at the cap.
+        let bomb = "[".repeat(200_000);
+        assert_eq!(from_json(&bomb), Err(ImportError::Syntax { offset: MAX_DEPTH, message }));
+        let err = StreamingCells::new(bomb.as_bytes()).next().unwrap().unwrap_err();
+        assert!(err.to_string().contains("nesting deeper"), "{err}");
+        assert!(from_jsonl(bomb.as_bytes()).is_err());
+        assert!(footer_meta(bomb.as_bytes()).is_err());
+        assert!(StreamingCells::salvage(bomb.as_bytes()).unwrap().cells.is_empty());
     }
 
     #[test]

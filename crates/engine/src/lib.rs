@@ -9,8 +9,8 @@
 //! * [`campaign`] — the [`CampaignBuilder`] DSL: expand sizes × topologies × auth
 //!   modes × corruption pairs × adversaries × seeds into an ordered work list,
 //! * [`executor`] — scoped worker threads over a shared work queue (`BSM_THREADS`
-//!   or [`Executor::threads`]); results are keyed by grid coordinates and merged in
-//!   canonical order, so aggregation is **bit-identical across thread counts**,
+//!   or [`Executor::threads`]); a reorder buffer hands completed cells to a sink in
+//!   canonical order, so every result is **bit-identical across thread counts**,
 //! * [`report`] — [`CampaignReport`]: per-cell outcome stats (plan, violations,
 //!   slots, messages, signatures) plus aggregate [`Totals`]; wall-clock throughput
 //!   lives in the separate [`ExecutionStats`],
@@ -48,37 +48,18 @@
 //!
 //! # Sharded campaigns
 //!
-//! A campaign can be split across processes or machines with a [`ShardPlan`]: every
-//! process expands the same campaign (deterministically — no coordination), runs its
-//! contiguous slice of the canonical work list, and exports its shard report.
-//! [`CampaignReport::merge`] recombines imported shard reports in canonical
-//! coordinate order, so the merged export is **byte-identical** to a single-process
-//! run:
-//!
-//! ```rust
-//! use bsm_engine::{CampaignBuilder, CampaignReport, Executor, ShardPlan};
-//!
-//! let campaign = CampaignBuilder::new().sizes([3]).seeds(0..2).build();
-//! let executor = Executor::new().threads(2);
-//! let (whole, _) = executor.run(&campaign);
-//! let shards: Vec<_> = (0..3)
-//!     .map(|i| executor.run_shard(&campaign, ShardPlan::new(i, 3).unwrap()).0)
-//!     .collect();
-//! let merged = CampaignReport::merge(shards).unwrap();
-//! assert_eq!(bsm_engine::to_json(&merged), bsm_engine::to_json(&whole));
-//! ```
-//!
-//! # Streaming campaigns
-//!
-//! Campaigns too large to hold every [`CellRecord`] in memory use the streaming path:
-//! [`Executor::run_shard_streaming`] folds completed cells into a rolling [`Totals`]
-//! and hands each one — in canonical order — to a [`StreamingExporter`], which writes
-//! one coordinate-sorted JSON line per cell plus a totals footer. The coordinator
-//! reads shard streams back lazily with [`StreamingCells`], merges them with the
-//! k-way [`CellMerge`] (a binary heap holding one pending cell per shard), and
-//! re-renders the canonical document with [`MergedJsonWriter`] /
-//! [`StreamingCsvWriter`] — byte-identical to the in-memory [`CampaignReport::merge`]
-//! path, as `crates/engine/tests/streaming_merge.rs` proves:
+//! Every run takes one path. A campaign can be split across processes or machines
+//! with a [`ShardPlan`]: every process expands the same campaign (deterministically —
+//! no coordination) and runs its contiguous slice of the canonical work list,
+//! [`Campaign::shard`]. [`Executor::run_streaming`] hands each completed cell — in
+//! canonical order — to a [`StreamingExporter`], which writes one coordinate-sorted
+//! JSON line per cell plus a totals footer, never holding the record vector. The
+//! coordinator reads the shard streams back lazily with [`StreamingCells`], merges
+//! them with the k-way [`CellMerge`] (a binary heap holding one pending cell per
+//! shard), and renders `report.json` with [`MergedJsonWriter`] (and `report.csv`
+//! with [`StreamingCsvWriter`]) — byte-identical to a single-process run, as
+//! `crates/engine/tests/streaming_merge.rs` proves. A single-process run is the
+//! one-shard case of the same flow.
 //!
 //! ```rust
 //! use bsm_engine::{
@@ -93,8 +74,8 @@
 //! for index in 0..2 {
 //!     let mut buf = Vec::new();
 //!     let mut exporter = StreamingExporter::new(&mut buf);
-//!     let plan = ShardPlan::new(index, 2).unwrap();
-//!     executor.run_shard_streaming(&campaign, plan, |cell| exporter.write_cell(&cell)).unwrap();
+//!     let shard = campaign.shard(ShardPlan::new(index, 2).unwrap());
+//!     executor.run_streaming(&shard, |cell| exporter.write_cell(&cell)).unwrap();
 //!     exporter.finish().unwrap();
 //!     shards.push(buf);
 //! }
@@ -110,7 +91,7 @@
 //!     writer.write_cell(&cell.unwrap()).unwrap();
 //! }
 //! writer.finish().unwrap();
-//! // Byte-identical to the unsharded in-memory export.
+//! // Byte-identical to the unsharded run.
 //! let (whole, _) = executor.run(&campaign);
 //! assert_eq!(String::from_utf8(out).unwrap(), bsm_engine::to_json(&whole));
 //! ```
@@ -119,12 +100,12 @@
 //!
 //! A shard that dies mid-stream leaves a truncated JSONL export behind.
 //! [`StreamingCells::salvage`] reads back its valid ordered cell prefix (stopping
-//! cleanly at the first broken or missing line instead of erroring), and
-//! [`Executor::run_range_streaming`] re-runs exactly the un-run tail of the shard's
-//! range — [`ShardPlan::remainder`] computes it — so the salvaged prefix plus the
-//! fresh cells splice into an export byte-identical to an uninterrupted run. Final
-//! artifacts are published with [`AtomicFile`] / [`atomic_write`] (temp file +
-//! atomic rename), so a crash can never leave a truncated file at a tracked path.
+//! cleanly at the first broken or missing line instead of erroring), and running
+//! [`Campaign::slice`] of the un-run tail of the shard's range —
+//! [`ShardPlan::remainder`] computes it — splices the salvaged prefix and the fresh
+//! cells into an export byte-identical to an uninterrupted run. Final artifacts are
+//! published with [`AtomicFile`] / [`atomic_write`] (temp file + atomic rename), so a
+//! crash can never leave a truncated file at a tracked path.
 //!
 //! # Quickstart
 //!
@@ -177,7 +158,7 @@ pub use import::{
 pub use progress::Progress;
 pub use report::{
     CampaignReport, CellMerge, CellMergeError, CellOutcome, CellRecord, CellStats, ExecutionStats,
-    MergeError, Totals,
+    Totals,
 };
 pub use scenario_file::{ScenarioError, ScenarioFile};
 pub use supervise::{

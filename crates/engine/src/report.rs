@@ -187,8 +187,7 @@ impl CampaignReport {
 
     /// Tags the report with the canonical serialization of the scenario file it was
     /// run from. The tag is embedded in exports (as the JSON document's first key and
-    /// the JSONL footer) and checked by [`merge`](Self::merge), so artifacts from
-    /// different scenarios can never be silently combined.
+    /// the JSONL footer), so artifacts from different scenarios can be told apart.
     #[must_use]
     pub fn with_scenario(mut self, scenario: impl Into<String>) -> Self {
         self.scenario = Some(scenario.into());
@@ -198,65 +197,6 @@ impl CampaignReport {
     /// The canonical scenario serialization this report is tagged with, if any.
     pub fn scenario(&self) -> Option<&str> {
         self.scenario.as_deref()
-    }
-
-    /// Recombines shard reports into one report in canonical coordinate order.
-    ///
-    /// The shards may be given in any order: cells are re-sorted by their grid
-    /// coordinates (the same nesting the canonical expansion uses — size, topology,
-    /// auth, corruption pair, adversary, fault plan, seed) and the totals are recomputed from the
-    /// union. [`CampaignBuilder::build`] normalizes its axes so expansion order *is*
-    /// coordinate order, which makes exporting the merged report reproduce the
-    /// unsharded `to_json`/`to_csv` documents byte for byte. (A hand-assembled
-    /// [`Campaign::from_specs`] work list in non-coordinate order is still merged
-    /// deterministically, but in coordinate order rather than its original order.)
-    ///
-    /// [`CampaignBuilder::build`]: crate::campaign::CampaignBuilder::build
-    /// [`Campaign::from_specs`]: crate::campaign::Campaign::from_specs
-    ///
-    /// # Examples
-    ///
-    /// ```rust
-    /// use bsm_engine::{CampaignBuilder, CampaignReport, Executor, ShardPlan};
-    ///
-    /// let campaign = CampaignBuilder::new().sizes([3]).seeds(0..2).build();
-    /// let executor = Executor::new().threads(2);
-    /// let (whole, _) = executor.run(&campaign);
-    /// // Run the campaign as two shards (as two processes would) and recombine.
-    /// let halves: Vec<_> = (0..2)
-    ///     .map(|i| executor.run_shard(&campaign, ShardPlan::new(i, 2).unwrap()).0)
-    ///     .collect();
-    /// let merged = CampaignReport::merge(halves).unwrap();
-    /// assert_eq!(merged, whole);
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// [`MergeError::DuplicateCell`] when two shards carry the same coordinates —
-    /// overlapping shard ranges, or the same shard imported twice — and
-    /// [`MergeError::ScenarioMismatch`] when the shards carry different scenario tags
-    /// (the common tag, if any, is propagated to the merged report).
-    pub fn merge(shards: impl IntoIterator<Item = CampaignReport>) -> Result<Self, MergeError> {
-        let shards: Vec<CampaignReport> = shards.into_iter().collect();
-        let mut scenario: Option<String> = None;
-        for (i, shard) in shards.iter().enumerate() {
-            if i > 0 && shard.scenario != scenario {
-                return Err(MergeError::ScenarioMismatch {
-                    first: scenario,
-                    other: shard.scenario.clone(),
-                });
-            }
-            scenario.clone_from(&shard.scenario);
-        }
-        let mut cells: Vec<CellRecord> =
-            shards.into_iter().flat_map(|report| report.cells).collect();
-        cells.sort_by_key(|cell| cell.spec);
-        if let Some(dup) = cells.windows(2).find(|pair| pair[0].spec == pair[1].spec) {
-            return Err(MergeError::DuplicateCell(dup[0].spec));
-        }
-        let mut merged = Self::new(cells);
-        merged.scenario = scenario;
-        Ok(merged)
     }
 
     /// The per-cell records, in canonical order.
@@ -270,52 +210,13 @@ impl CampaignReport {
     }
 }
 
-/// Errors recombining shard reports with [`CampaignReport::merge`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MergeError {
-    /// Two shards carried a cell with the same grid coordinates.
-    DuplicateCell(ScenarioSpec),
-    /// Shards carried different scenario tags — artifacts of different scenario files
-    /// (or a mix of tagged and untagged artifacts) must not be combined.
-    ScenarioMismatch {
-        /// The scenario tag of the first shard(s).
-        first: Option<String>,
-        /// The conflicting tag.
-        other: Option<String>,
-    },
-}
-
-impl fmt::Display for MergeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            MergeError::DuplicateCell(spec) => {
-                write!(f, "duplicate cell across shards: {spec}")
-            }
-            MergeError::ScenarioMismatch { first, other } => {
-                let name = |s: &Option<String>| match s {
-                    Some(tag) => format!("{tag:?}"),
-                    None => "no scenario tag".to_string(),
-                };
-                write!(
-                    f,
-                    "shards come from different scenarios: {} vs {}",
-                    name(first),
-                    name(other)
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for MergeError {}
-
-/// A streaming k-way merge of coordinate-sorted [`CellRecord`] streams.
+/// A streaming k-way merge of coordinate-sorted [`CellRecord`] streams — the one way
+/// shard results are recombined.
 ///
-/// This is [`CampaignReport::merge`] without the memory: instead of materializing
-/// every shard report, the coordinator holds **one pending cell per shard** in a
-/// binary heap and yields the union in canonical coordinate order. Feeding the merged
-/// stream through the streaming writers in [`crate::export`] reproduces the unsharded
-/// in-memory export byte for byte, which is the contract
+/// The coordinator holds **one pending cell per shard** in a binary heap and yields
+/// the union in canonical coordinate order, so shards may be given in any order.
+/// Feeding the merged stream through the streaming writers in [`crate::export`]
+/// reproduces the unsharded export byte for byte, which is the contract
 /// `crates/engine/tests/streaming_merge.rs` proves.
 ///
 /// Each input stream must yield cells in strictly increasing coordinate order (the
@@ -323,6 +224,26 @@ impl std::error::Error for MergeError {}
 /// [`crate::export::StreamingExporter`] enforces on write). The merge is fail-fast:
 /// the first shard read error, duplicate coordinate or ordering violation is yielded
 /// as an error and the iterator then fuses to `None`.
+///
+/// # Examples
+///
+/// ```rust
+/// use bsm_engine::{CampaignBuilder, CampaignReport, CellMerge, Executor, ShardPlan};
+/// use std::convert::Infallible;
+///
+/// let campaign = CampaignBuilder::new().sizes([3]).seeds(0..2).build();
+/// let executor = Executor::new().threads(2);
+/// let (whole, _) = executor.run(&campaign);
+/// // Run the campaign as two shards (as two processes would), hand them over in
+/// // reverse, and recombine.
+/// let halves: Vec<_> = (0..2)
+///     .rev()
+///     .map(|i| executor.run(&campaign.shard(ShardPlan::new(i, 2).unwrap())).0)
+///     .map(|half| half.cells().to_vec().into_iter().map(Ok::<_, Infallible>))
+///     .collect();
+/// let cells = CellMerge::new(halves).collect::<Result<Vec<_>, _>>().unwrap();
+/// assert_eq!(CampaignReport::new(cells), whole);
+/// ```
 #[derive(Debug)]
 pub struct CellMerge<I, E>
 where
@@ -520,6 +441,7 @@ mod tests {
     use bsm_core::harness::AdversarySpec;
     use bsm_core::problem::AuthMode;
     use bsm_net::Topology;
+    use std::convert::Infallible;
 
     fn spec() -> ScenarioSpec {
         ScenarioSpec {
@@ -588,15 +510,20 @@ mod tests {
         assert_eq!(CellOutcome::Failed { message: "m".into() }.status(), "failed");
     }
 
+    /// A shard's cells as the infallible stream [`CellMerge`] consumes.
+    fn shard(cells: Vec<CellRecord>) -> impl Iterator<Item = Result<CellRecord, Infallible>> {
+        cells.into_iter().map(Ok)
+    }
+
     #[test]
     fn merge_restores_coordinate_order_and_recomputes_totals() {
         let mut late = completed(1);
         late.spec.seed = 9;
         let early = completed(0);
         // Shards given out of order; the merge re-sorts by coordinates.
-        let shards =
-            vec![CampaignReport::new(vec![late.clone()]), CampaignReport::new(vec![early.clone()])];
-        let merged = CampaignReport::merge(shards).unwrap();
+        let merged: Result<Vec<_>, _> =
+            CellMerge::new(vec![shard(vec![late.clone()]), shard(vec![early.clone()])]).collect();
+        let merged = CampaignReport::new(merged.unwrap());
         assert_eq!(merged.cells(), &[early, late]);
         assert_eq!(merged.totals().scenarios, 2);
         assert_eq!(merged.totals().completed, 2);
@@ -605,36 +532,16 @@ mod tests {
 
     #[test]
     fn merge_rejects_overlapping_shards() {
-        let shards =
-            vec![CampaignReport::new(vec![completed(0)]), CampaignReport::new(vec![completed(0)])];
-        let err = CampaignReport::merge(shards).unwrap_err();
-        assert_eq!(err, MergeError::DuplicateCell(spec()));
+        let shards = vec![shard(vec![completed(0)]), shard(vec![completed(0)])];
+        let err = CellMerge::new(shards).collect::<Result<Vec<_>, _>>().unwrap_err();
+        assert_eq!(err, CellMergeError::DuplicateCell(spec()));
         assert!(err.to_string().contains("duplicate cell"));
     }
 
     #[test]
-    fn merge_rejects_mixed_scenario_tags_and_propagates_a_common_one() {
-        let mut late = completed(0);
-        late.spec.seed = 9;
-        let tagged =
-            |cell: CellRecord| CampaignReport::new(vec![cell]).with_scenario("name = \"x\"");
-        // Tagged + untagged is a mismatch.
-        let err = CampaignReport::merge(vec![
-            tagged(completed(0)),
-            CampaignReport::new(vec![late.clone()]),
-        ])
-        .unwrap_err();
-        assert!(matches!(err, MergeError::ScenarioMismatch { .. }), "{err}");
-        assert!(err.to_string().contains("different scenarios"), "{err}");
-        // Same tag everywhere merges and keeps the tag.
-        let merged = CampaignReport::merge(vec![tagged(completed(0)), tagged(late)]).unwrap();
-        assert_eq!(merged.scenario(), Some("name = \"x\""));
-        assert_eq!(merged.totals().scenarios, 2);
-    }
-
-    #[test]
     fn merge_of_nothing_is_the_empty_report() {
-        let merged = CampaignReport::merge(Vec::new()).unwrap();
+        let merged: Result<Vec<_>, _> = CellMerge::new(vec![shard(Vec::new())]).collect();
+        let merged = CampaignReport::new(merged.unwrap());
         assert!(merged.cells().is_empty());
         assert_eq!(merged.totals(), Totals::default());
     }
@@ -683,7 +590,7 @@ mod tests {
         cell
     }
 
-    type OkStream = std::vec::IntoIter<Result<CellRecord, MergeError>>;
+    type OkStream = std::vec::IntoIter<Result<CellRecord, &'static str>>;
 
     fn stream(seeds: &[u64]) -> OkStream {
         seeds.iter().map(|&s| Ok(seeded(s))).collect::<Vec<_>>().into_iter()
@@ -726,8 +633,7 @@ mod tests {
 
     #[test]
     fn cell_merge_surfaces_shard_stream_errors_with_the_shard_index() {
-        let failing: Vec<Result<CellRecord, MergeError>> =
-            vec![Ok(seeded(0)), Err(MergeError::DuplicateCell(spec()))];
+        let failing: Vec<Result<CellRecord, &'static str>> = vec![Ok(seeded(0)), Err("torn line")];
         let mut merge = CellMerge::new(vec![stream(&[1]), failing.into_iter()]);
         // Shard 1's error surfaces on the refill after its first cell is popped.
         let first = merge.next().unwrap();

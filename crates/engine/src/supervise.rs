@@ -55,7 +55,7 @@ use std::time::{Duration, Instant, SystemTime};
 /// Environment variable arming a worker's deterministic crash injection; the value
 /// is a [`CrashMode`] rendered by its `Display` impl (e.g. `5`, `torn5`, `hang3`,
 /// `early`, `finish`). Set by the supervisor from the `--chaos` spec; honored by
-/// `campaign_ctl run --stream` and `resume`.
+/// `campaign_ctl run` and `resume`.
 pub const CRASH_ENV: &str = "BSM_CRASH_AFTER_CELLS";
 
 /// Environment variable carrying the supervisor-assigned attempt number (1-based)
@@ -271,7 +271,7 @@ impl fmt::Display for ChaosSpec {
 /// The worker-side trigger: counts streamed cells and dies at the armed point.
 ///
 /// The worker checks [`CrashPoint::from_env`] once at startup; an unarmed worker
-/// pays nothing. The three call sites a streamed run threads it through:
+/// pays nothing. The three call sites a run threads it through:
 /// `die_early_if_armed` before any artifact exists, `cell_written` after each
 /// cell reaches the stream (flush first, so whole lines are on disk — the caller
 /// decides when to call [`CrashPoint::fire`]), and `die_before_publish_if_armed`
@@ -1011,6 +1011,8 @@ mod tests {
         assert!(parse_supervise(&lied).is_err());
         let truncated = &summary().to_json()[..40];
         assert!(parse_supervise(truncated).is_err());
+        let err = parse_supervise(&"[".repeat(200_000)).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper"), "{err}");
     }
 
     #[cfg(unix)]

@@ -874,6 +874,11 @@ mod tests {
         ] {
             assert!(parse_telemetry_line(bad).is_err(), "{bad:?} should not parse");
         }
+        // Nesting bombs are refused at the reader's depth cap, line and stream alike.
+        let bomb = "[".repeat(200_000);
+        let err = parse_telemetry_line(&bomb).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper"), "{err}");
+        assert!(CampaignStats::from_stream(bomb.as_bytes()).is_err());
     }
 
     #[test]
@@ -1067,5 +1072,7 @@ mod tests {
         ] {
             assert!(parse_progress(bad).is_err(), "{bad:?} should not parse");
         }
+        let err = parse_progress(&"[".repeat(200_000)).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper"), "{err}");
     }
 }

@@ -117,8 +117,8 @@ fn faulty_scenario_streamed_shard_merge_is_byte_identical_to_the_unsharded_run()
         let mut buf = Vec::new();
         let mut exporter = StreamingExporter::new(&mut buf);
         exporter.set_scenario(tag.clone());
-        let plan = ShardPlan::new(index, 3).unwrap();
-        executor.run_shard_streaming(&campaign, plan, |cell| exporter.write_cell(&cell)).unwrap();
+        let shard = campaign.shard(ShardPlan::new(index, 3).unwrap());
+        executor.run_streaming(&shard, |cell| exporter.write_cell(&cell)).unwrap();
         exporter.finish().unwrap();
         shards.push(buf);
     }

@@ -1,26 +1,27 @@
-//! The streamed distributed-campaign determinism proof.
+//! The distributed-campaign determinism proof.
 //!
-//! The streaming analog of `shard_merge.rs`: a campaign split into K shards, each run
-//! in **streaming mode** (cells folded into rolling totals and written to a
-//! coordinate-sorted JSON-lines export as they complete, never materializing the
-//! record vector), must k-way-merge back into `report.json` / `report.csv` documents
-//! **byte-identical** to the unsharded in-memory export, for K = 1, 2 and 3 — with the
-//! shard streams read back through the lazy importer exactly as `campaign_ctl merge
-//! --stream` consumes files from real processes. This is the contract the CI
-//! streamed-merge gate enforces end to end.
+//! A campaign split into K shards — each run as its own `Executor` invocation, as K
+//! processes would, streaming its cells to a coordinate-sorted JSON-lines export as
+//! they complete and never materializing the record vector — must k-way-merge back
+//! into `report.json` / `report.csv` documents **byte-identical** to the unsharded
+//! run, for K = 1, 2 and 3, whatever order the shards are handed over in and
+//! whatever thread count each shard ran on — with the shard streams read back
+//! through the lazy importer exactly as `campaign_ctl merge` consumes files from
+//! real processes. This is the contract the CI shard-merge gate enforces end to
+//! end.
 
 use bsm_core::harness::AdversarySpec;
 use bsm_core::problem::AuthMode;
 use bsm_engine::export::{
     to_csv, to_json, MergedJsonWriter, StreamingCsvWriter, StreamingExporter,
 };
-use bsm_engine::import::{footer_totals, from_jsonl, StreamingCells};
-use bsm_engine::{Campaign, CampaignBuilder, CellMerge, Executor, ShardPlan, Totals};
+use bsm_engine::import::{footer_totals, from_json, from_jsonl, StreamingCells};
+use bsm_engine::{Campaign, CampaignBuilder, CampaignDiff, CellMerge, Executor, ShardPlan, Totals};
 use bsm_net::Topology;
 
-/// The same ≥500-cell campaign as `shard_merge.rs`: 2 sizes × 3 topologies × 2 auth
-/// modes × 4 corruption pairs × 3 adversaries × 4 seeds = 576 cells, mixing solvable
-/// and unsolvable regions.
+/// A ≥500-cell campaign crossing every axis: 2 sizes × 3 topologies × 2 auth modes ×
+/// 4 corruption pairs × 3 adversaries × 4 seeds = 576 cells, mixing solvable and
+/// unsolvable regions.
 fn large_campaign() -> Campaign {
     CampaignBuilder::new()
         .sizes([2, 3])
@@ -39,7 +40,7 @@ fn streamed_shard(campaign: &Campaign, index: usize, count: usize, threads: usiz
     let mut exporter = StreamingExporter::new(&mut buf);
     let (totals, _) = Executor::new()
         .threads(threads)
-        .run_shard_streaming(campaign, plan, |cell| exporter.write_cell(&cell))
+        .run_streaming(&campaign.shard(plan), |cell| exporter.write_cell(&cell))
         .unwrap_or_else(|err| panic!("streamed shard {plan} failed: {err}"));
     let finished = exporter.finish().unwrap();
     assert_eq!(totals, finished, "executor and exporter disagree on shard {plan} totals");
@@ -47,8 +48,8 @@ fn streamed_shard(campaign: &Campaign, index: usize, count: usize, threads: usiz
 }
 
 /// Streams a k-way merge of shard exports into (`report.json`, `report.csv`) bytes,
-/// exactly as `campaign_ctl merge --stream` does: footer pass first, then one lazy
-/// pass over the cells.
+/// exactly as `campaign_ctl merge` does: footer pass first, then one lazy pass over
+/// the cells.
 fn streamed_merge(shards: &[Vec<u8>]) -> (String, String) {
     let mut declared = Totals::default();
     for shard in shards {
@@ -96,10 +97,59 @@ fn streamed_k_shard_runs_merge_byte_identical_to_the_unsharded_in_memory_export(
 }
 
 #[test]
+fn merging_k_shard_runs_is_byte_identical_to_the_unsharded_run() {
+    let campaign = large_campaign();
+    let (reference, _) = Executor::new().threads(2).run(&campaign);
+    for count in [1usize, 2, 3] {
+        // Vary the thread count per shard, from the other end this time.
+        let mut shards: Vec<Vec<u8>> = (0..count)
+            .map(|index| streamed_shard(&campaign, index, count, count - index))
+            .collect();
+        // Merge order must not matter: hand the shards over in reverse.
+        shards.reverse();
+        let (merged_json, merged_csv) = streamed_merge(&shards);
+        assert_eq!(merged_json, to_json(&reference), "merged JSON diverged at K={count}");
+        assert_eq!(merged_csv, to_csv(&reference), "merged CSV diverged at K={count}");
+        assert_eq!(from_json(&merged_json).unwrap(), reference);
+    }
+}
+
+#[test]
+fn shards_partition_the_large_campaign() {
+    let campaign = large_campaign();
+    for count in [2usize, 3, 7] {
+        let mut rejoined = Vec::new();
+        let mut sizes = Vec::new();
+        for index in 0..count {
+            let shard = campaign.shard(ShardPlan::new(index, count).unwrap());
+            sizes.push(shard.len());
+            rejoined.extend_from_slice(shard.specs());
+        }
+        assert_eq!(rejoined, campaign.specs());
+        let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
+        assert!(max - min <= 1, "unbalanced shard sizes {sizes:?}");
+    }
+}
+
+#[test]
+fn diff_of_a_report_against_itself_renders_zero_cells() {
+    let campaign = large_campaign();
+    let (report, _) = Executor::new().threads(2).run(&campaign);
+    let diff = CampaignDiff::between(&report, &report);
+    assert!(diff.is_empty());
+    assert_eq!(diff.cells_compared(), campaign.len());
+    assert!(diff.render().starts_with("0 differing cell(s)"));
+    // A merged reconstruction diffs clean against the original too.
+    let halves: Vec<Vec<u8>> = (0..2).map(|index| streamed_shard(&campaign, index, 2, 2)).collect();
+    let merged = from_json(&streamed_merge(&halves).0).unwrap();
+    assert!(CampaignDiff::between(&report, &merged).is_empty());
+}
+
+#[test]
 fn streamed_shard_exports_round_trip_through_the_lazy_importer() {
     let campaign = large_campaign();
     let plan = ShardPlan::new(1, 3).unwrap();
-    let (in_memory, _) = Executor::new().threads(2).run_shard(&campaign, plan);
+    let (in_memory, _) = Executor::new().threads(2).run(&campaign.shard(plan));
     let streamed = streamed_shard(&campaign, 1, 3, 2);
     // The lazy importer reconstructs the in-memory shard report exactly.
     assert_eq!(from_jsonl(&streamed[..]).unwrap(), in_memory);

@@ -28,7 +28,13 @@ fn per_cell_deltas_sum_to_the_global_counter_delta() {
         .build();
     let executor = Executor::new().threads(4);
     let before = bsm_crypto::counters::snapshot();
-    let (_, telemetry, _) = executor.run_telemetry(&campaign);
+    let mut telemetry = Vec::new();
+    executor
+        .run_streaming_telemetry(&campaign, |_, cell| {
+            telemetry.push(cell);
+            Ok::<(), std::convert::Infallible>(())
+        })
+        .expect("collecting sink never fails");
     let global = bsm_crypto::counters::snapshot() - before;
     let mut attributed = bsm_crypto::CounterSnapshot::default();
     for cell in &telemetry {

@@ -8,16 +8,29 @@
 //! * canonical round trips — `parse(canonical(x)) == x` for generated scenario
 //!   files and scripts covering every action kind, the optional `plan` and
 //!   `verdict`, and names containing `"` and `\`.
+//!
+//! The JSON reader under every engine document gets the same totality treatment:
+//! `from_json`, the `report.jsonl` stream readers, the `metrics.jsonl` readers,
+//! `parse_progress` and `parse_supervise` each return (never panic) on every
+//! truncation and random single-byte mutation of a corpus built from a small
+//! campaign run, on arbitrary bytes, and on nesting bombs far deeper than any
+//! stack.
 
 use bsm_core::mini_toml;
 use bsm_core::problem::{AuthMode, MAX_MARKET_SIZE};
 use bsm_core::script::{Script, ScriptAction, Verdict};
 use bsm_core::{AdversarySpec, ProtocolPlan};
-use bsm_engine::ScenarioFile;
+use bsm_engine::{
+    footer_meta, from_json, from_jsonl, parse_progress, parse_supervise, parse_telemetry_line,
+    to_json, AttemptOutcome, AttemptRecord, CampaignBuilder, CampaignReport, CampaignStats,
+    Executor, Heartbeat, QuarantinedShard, ScenarioFile, StreamError, StreamingCells,
+    StreamingExporter, SuperviseSummary, TelemetryExporter,
+};
 use bsm_matching::Side;
 use bsm_net::{CrashWindow, FaultSpec, PartitionWindow, PartyId, Topology};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 /// The 3 example scenarios and the 5 frozen regressions, as `(path, text)`.
 fn corpus() -> Vec<(PathBuf, String)> {
@@ -262,5 +275,153 @@ proptest! {
         let parsed = Script::parse(&canonical).map_err(|err| TestCaseError::fail(format!("{err}\n{canonical}")))?;
         prop_assert_eq!(&parsed, &script);
         prop_assert_eq!(parsed.canonical(), canonical);
+    }
+}
+
+/// The five engine JSON documents of one small tagged campaign run (built once), as
+/// `(name, bytes)`: `report.json`, `report.jsonl`, `metrics.jsonl`, `progress.json`
+/// and `supervise.json`.
+fn json_corpus() -> &'static [(&'static str, Vec<u8>)] {
+    static CORPUS: OnceLock<Vec<(&'static str, Vec<u8>)>> = OnceLock::new();
+    CORPUS.get_or_init(build_json_corpus)
+}
+
+fn build_json_corpus() -> Vec<(&'static str, Vec<u8>)> {
+    // 3 topologies × 2 auth modes × 2 corruption pairs: completed and unsolvable
+    // cells, so every outcome shape the exporters write is present.
+    let campaign = CampaignBuilder::new()
+        .sizes([2])
+        .corruptions([(0, 0), (0, 1)])
+        .adversaries([AdversarySpec::Lying])
+        .build();
+    let tag = "name = \"a \\\"tagged\\\" run\"";
+    let (mut cells, mut jsonl, mut metrics) = (Vec::new(), Vec::new(), Vec::new());
+    let mut exporter = StreamingExporter::new(&mut jsonl);
+    exporter.set_scenario(tag);
+    let mut sidecar = TelemetryExporter::new(&mut metrics);
+    let dir = std::env::temp_dir().join(format!("bsm-text-formats-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut heartbeat = Heartbeat::new(&dir, campaign.len(), 3).unwrap();
+    Executor::new()
+        .threads(2)
+        .run_streaming_telemetry(&campaign, |cell, telemetry| -> Result<(), StreamError> {
+            exporter.write_cell(&cell)?;
+            sidecar.write_cell(&telemetry)?;
+            heartbeat.tick(cell.spec)?;
+            cells.push(cell);
+            Ok(())
+        })
+        .unwrap();
+    exporter.finish().unwrap();
+    sidecar.finish().unwrap();
+    heartbeat.finish().unwrap();
+    let progress = std::fs::read(dir.join("progress.json")).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    let record = |shard, attempt, outcome, exit, done| AttemptRecord {
+        shard,
+        attempt,
+        resumed: attempt > 1,
+        outcome,
+        exit,
+        done,
+        backoff_ms: 100 * u64::from(attempt - 1),
+    };
+    let summary = SuperviseSummary {
+        shards: 2,
+        total_cells: campaign.len(),
+        max_attempts: 2,
+        attempts: vec![
+            record(1, 1, AttemptOutcome::Completed, 0, 6),
+            record(2, 1, AttemptOutcome::Crashed, 137, 4),
+            record(2, 2, AttemptOutcome::Stalled, 137, 4),
+        ],
+        quarantined: vec![QuarantinedShard { shard: 2, start: 6, cells: 6, attempts: 2 }],
+    };
+    let report = to_json(&CampaignReport::new(cells).with_scenario(tag));
+    vec![
+        ("report.json", report.into_bytes()),
+        ("report.jsonl", jsonl),
+        ("metrics.jsonl", metrics),
+        ("progress.json", progress),
+        ("supervise.json", summary.to_json().into_bytes()),
+    ]
+}
+
+/// Runs every JSON entry point on `bytes`; each must return, never panic.
+fn assert_json_total(bytes: &[u8]) {
+    let text = String::from_utf8_lossy(bytes);
+    let _ = from_json(&text);
+    let _ = from_jsonl(bytes);
+    let _ = StreamingCells::salvage(bytes);
+    let _ = footer_meta(bytes);
+    let _ = CampaignStats::from_stream(bytes);
+    for line in text.lines() {
+        let _ = parse_telemetry_line(line);
+    }
+    let _ = parse_progress(&text);
+    let _ = parse_supervise(&text);
+}
+
+#[test]
+fn the_json_corpus_parses_with_the_matching_reader() {
+    let corpus = json_corpus();
+    let text = |name: &str| {
+        let bytes = &corpus.iter().find(|(file, _)| *file == name).unwrap().1;
+        String::from_utf8(bytes.clone()).unwrap()
+    };
+    let report = from_json(&text("report.json")).unwrap();
+    assert_eq!(from_jsonl(text("report.jsonl").as_bytes()).unwrap(), report);
+    let stats = CampaignStats::from_stream(text("metrics.jsonl").as_bytes()).unwrap();
+    assert_eq!(stats.cells, report.cells().len() as u64);
+    assert_eq!(parse_progress(&text("progress.json")).unwrap().done, report.cells().len());
+    assert!(parse_supervise(&text("supervise.json")).unwrap().degraded());
+}
+
+#[test]
+fn every_truncation_of_the_json_corpus_is_handled() {
+    for (_, bytes) in json_corpus() {
+        for end in 0..=bytes.len() {
+            assert_json_total(&bytes[..end]);
+        }
+    }
+}
+
+#[test]
+fn nesting_bombs_are_handled() {
+    // A stack overflow aborts the process, which no `catch_unwind` (and so no
+    // property test) can observe: the bombs are asserted explicitly.
+    for bomb in ["[".repeat(200_000), "{\"a\": ".repeat(100_000), "[{\"a\": ".repeat(100_000)] {
+        assert_json_total(bomb.as_bytes());
+        assert_json_total(format!("{bomb}\n").as_bytes());
+    }
+}
+
+/// Bytes biased toward JSON punctuation, so mutations reach deep states.
+const JSON_INTERESTING: &[u8] = b"{}[]\":,\\\n 0123456789tfu";
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    #[test]
+    fn single_byte_mutations_of_the_json_corpus_are_handled(
+        file in 0..5usize,
+        position in any::<usize>(),
+        byte in any::<u8>(),
+        interesting in any::<bool>(),
+    ) {
+        let mut bytes = json_corpus()[file].1.clone();
+        let byte = if interesting {
+            JSON_INTERESTING[usize::from(byte) % JSON_INTERESTING.len()]
+        } else {
+            byte
+        };
+        let position = position % bytes.len();
+        bytes[position] = byte;
+        assert_json_total(&bytes);
+    }
+
+    #[test]
+    fn arbitrary_bytes_are_handled_by_the_json_readers(bytes in Bytes) {
+        assert_json_total(&bytes);
     }
 }

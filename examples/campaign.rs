@@ -20,9 +20,10 @@
 
 use byzantine_stable_matching::engine::export::{to_csv, to_json};
 use byzantine_stable_matching::engine::{
-    Campaign, CampaignBuilder, CampaignReport, Executor, Progress, ShardPlan,
+    Campaign, CampaignBuilder, CampaignReport, CellMerge, Executor, Progress, ShardPlan,
 };
 use byzantine_stable_matching::AdversarySpec;
+use std::convert::Infallible;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -133,28 +134,28 @@ fn main() -> ExitCode {
     // Shard self-check: run the campaign as `--shards` independent slices (as K
     // processes would), merge the shard reports, and require the merged exports to be
     // byte-identical to the unsharded reference.
-    let shard_reports: Vec<CampaignReport> = (0..args.shards)
+    let shard_cells: Vec<_> = (0..args.shards)
         .map(|index| {
             let plan = ShardPlan::new(index, args.shards).expect("index < count");
-            Executor::new().threads(parallel).run_shard(&campaign, plan).0
+            let (report, _) = Executor::new().threads(parallel).run(&campaign.shard(plan));
+            report.cells().to_vec().into_iter().map(Ok::<_, Infallible>)
         })
         .collect();
-    match CampaignReport::merge(shard_reports) {
-        Ok(merged) if to_json(&merged) == *json_1 && to_csv(&merged) == *csv_1 => {
-            println!(
-                "determinism: merging {} shard runs is byte-identical to the unsharded run",
-                args.shards
-            );
-        }
-        Ok(_) => {
-            eprintln!("DETERMINISM FAILURE: merged {}-shard exports differ", args.shards);
-            return ExitCode::FAILURE;
-        }
+    let merged = match CellMerge::new(shard_cells).collect::<Result<Vec<_>, _>>() {
+        Ok(cells) => CampaignReport::new(cells),
         Err(err) => {
             eprintln!("MERGE FAILURE: {err}");
             return ExitCode::FAILURE;
         }
+    };
+    if to_json(&merged) != *json_1 || to_csv(&merged) != *csv_1 {
+        eprintln!("DETERMINISM FAILURE: merged {}-shard exports differ", args.shards);
+        return ExitCode::FAILURE;
     }
+    println!(
+        "determinism: merging {} shard runs is byte-identical to the unsharded run",
+        args.shards
+    );
 
     // Speedup of the most parallel run over the serial one.
     if let Some((threads, _, _, elapsed)) = exports.iter().find(|(t, _, _, _)| *t == parallel) {
