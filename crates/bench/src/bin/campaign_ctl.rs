@@ -102,7 +102,8 @@
 //! with and without it. Independently of `--metrics`, every run heartbeats
 //! `progress.json` in its out-dir (done/total, rate, last coordinate, counter
 //! delta) every few cells through an atomic rename — the liveness signal
-//! `supervise` polls for dead shards. `stats` aggregates a sidecar into quantiles,
+//! `supervise` polls for dead shards — and prints each beat as a done/total, rate
+//! and ETA line on stderr. `stats` aggregates a sidecar into quantiles,
 //! top-N cells and per-axis rollups:
 //!
 //! ```sh
@@ -141,7 +142,7 @@ use bsm_engine::telemetry::{
 };
 use bsm_engine::{
     run_fuzz, Campaign, CampaignBuilder, CampaignDiff, CampaignReport, CellMerge, CellRecord,
-    FuzzConfig, Progress, ScenarioFile, ShardPlan, StreamError, Totals,
+    FuzzConfig, ScenarioFile, ShardPlan, StreamError, Totals,
 };
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Write};
@@ -351,7 +352,7 @@ fn run(args: &BenchArgs, resume: bool) -> Result<CtlCode, CtlError> {
     let done = salvaged.len();
     let remainder = plan.remainder(campaign.len(), done);
     let fresh = remainder.len();
-    let executor = args.executor().progress(Progress::Stderr { every: 250 });
+    let executor = args.executor();
     match (resume, args.shard) {
         (true, _) => {
             eprintln!("re-running {fresh} remaining cell(s) of shard {plan} of {campaign}")
@@ -380,10 +381,11 @@ fn run(args: &BenchArgs, resume: bool) -> Result<CtlCode, CtlError> {
         ),
         false => None,
     };
-    // The heartbeat starts at the salvaged count, so a watcher sees a resumed shard
-    // continue from where the interrupted run's progress.json left off.
+    // The heartbeat is the run's live progress, in progress.json and on stderr. It
+    // starts at the salvaged count, so a watcher sees a resumed shard continue from
+    // where the interrupted run left off, counted against the whole shard.
     let mut heartbeat = Heartbeat::new(&out, shard.len(), HEARTBEAT_EVERY)
-        .and_then(|beat| beat.starting_at(done))
+        .and_then(|beat| if done > 0 { beat.starting_at(done) } else { Ok(beat) })
         .and_then(|beat| if attempt > 1 { beat.attempt(attempt) } else { Ok(beat) })
         .map_err(|err| format!("cannot write heartbeat in {}: {err}", out.display()))?;
     let result = (|| -> Result<(Totals, bsm_engine::ExecutionStats), String> {
@@ -494,6 +496,13 @@ fn supervise(args: &BenchArgs) -> Result<CtlCode, CtlError> {
         )
     })?;
     let (campaign, _) = build_campaign(args)?;
+    if shards > campaign.len() {
+        // Every worker owns a cell; a K near usize::MAX would not fit in memory.
+        return Err(CtlError::Usage(format!(
+            "supervise: --shards {shards} exceeds the campaign's {} cell(s)",
+            campaign.len()
+        )));
+    }
     let out = args.out.clone().unwrap_or_else(|| PathBuf::from("target/campaign_ctl/supervised"));
     let dirs: Vec<PathBuf> = (1..=shards).map(|i| out.join(format!("shard-{i}"))).collect();
     for dir in &dirs {
@@ -598,7 +607,7 @@ fn bench(args: &BenchArgs) -> Result<CtlCode, CtlError> {
                 .into(),
         ));
     }
-    let executor = args.executor().progress(Progress::Stderr { every: 250 });
+    let executor = args.executor();
     eprintln!(
         "running {} benchmark campaign on {} thread(s)",
         if args.smoke { "quick" } else { "full" },

@@ -29,6 +29,10 @@
 //!   comma-separated `SHARD:ATTEMPT:MODE` entries (see
 //!   [`bsm_engine::supervise::ChaosSpec`]).
 //!
+//! Each value flag may be given once; a repeat is collected in
+//! [`BenchArgs::unknown`] like any other bad argument, never silently overriding the
+//! first value.
+//!
 //! The vocabulary is deliberately shared across subcommands: `campaign_ctl resume`
 //! takes the *same* `--smoke`/`--shard`/`--threads`/`--out` flags as the interrupted
 //! `run` it finishes, so an operator (or `campaign_ctl supervise`) replays the
@@ -91,9 +95,15 @@ pub struct BenchArgs {
     /// Non-numeric positional arguments, in order (file paths for subcommands that
     /// consume exports, e.g. `campaign_ctl merge`/`diff`).
     pub files: Vec<String>,
-    /// Arguments that were not recognized (reported, then ignored).
+    /// Arguments that were not recognized or repeated a value flag (reported, then
+    /// ignored).
     pub unknown: Vec<String>,
 }
+
+/// The flags that take a value, space-separated. Each may appear once: a repeat
+/// would otherwise silently override the first value.
+const VALUE_FLAGS: &str = "--threads --seeds --shard --out --scenario --budget --seed --replay \
+                           --shards --chaos --max-attempts --backoff-ms --poll-ms --stall-polls";
 
 impl Default for BenchArgs {
     fn default() -> Self {
@@ -133,6 +143,7 @@ impl BenchArgs {
     pub fn from_args(args: impl IntoIterator<Item = String>) -> Self {
         let mut parsed = Self::default();
         let mut iter = args.into_iter().peekable();
+        let mut seen = Vec::new();
         // The value of a `--flag VALUE` pair; never steals a following flag, so
         // `--threads --smoke` reports a missing value instead of swallowing `--smoke`.
         fn value(iter: &mut std::iter::Peekable<impl Iterator<Item = String>>) -> Option<String> {
@@ -142,6 +153,14 @@ impl BenchArgs {
             }
         }
         while let Some(arg) = iter.next() {
+            if VALUE_FLAGS.split_whitespace().any(|flag| flag == arg) {
+                if seen.contains(&arg) {
+                    value(&mut iter);
+                    parsed.unknown.push(format!("{arg} (given more than once)"));
+                    continue;
+                }
+                seen.push(arg.clone());
+            }
             match arg.as_str() {
                 "--no-verify" => parsed.verify = false,
                 "--threads" => match value(&mut iter).and_then(|v| v.parse::<usize>().ok()) {
@@ -275,6 +294,7 @@ impl fmt::Display for BenchArgs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn args(list: &[&str]) -> BenchArgs {
         BenchArgs::from_args(list.iter().map(|s| s.to_string()))
@@ -440,6 +460,73 @@ mod tests {
         let starved = args(&["--shards", "--smoke"]);
         assert_eq!(starved.shards, None);
         assert!(starved.smoke);
+    }
+
+    #[test]
+    fn repeated_value_flags_are_collected_not_overridden() {
+        let parsed = args(&["--smoke", "--shard", "1/3", "--shard", "2/3"]);
+        let plan = parsed.shard.expect("the first --shard stands");
+        assert_eq!((plan.index(), plan.count()), (0, 3));
+        assert_eq!(parsed.unknown, vec!["--shard (given more than once)".to_string()]);
+        assert!(parsed.files.is_empty(), "the repeat's value is consumed with it");
+        for flag in VALUE_FLAGS.split_whitespace() {
+            let parsed = args(&[flag, "1", flag, "1"]);
+            assert!(parsed.unknown.contains(&format!("{flag} (given more than once)")), "{flag}");
+        }
+        // Switches carry no value to override; repeating one is harmless.
+        assert!(args(&["--smoke", "--smoke"]).unknown.is_empty());
+    }
+
+    /// Argument vectors drawn from the flag vocabulary, plausible values and junk.
+    struct Argv;
+
+    impl Strategy for Argv {
+        type Value = Vec<String>;
+
+        fn generate(&self, rng: &mut TestRng) -> Vec<String> {
+            const VALUES: [&str; 12] = [
+                "0",
+                "1",
+                "3",
+                "2/3",
+                "0/3",
+                "4/3",
+                "x",
+                "",
+                "-1",
+                "18446744073709551616",
+                "a.json",
+                "2:1:torn7",
+            ];
+            const SWITCHES: [&str; 5] = ["--smoke", "--metrics", "--freeze", "--no-verify", "--"];
+            (0..rng.random_range(0..12usize))
+                .map(|_| match rng.random_range(0..4u8) {
+                    0 => {
+                        let flags: Vec<&str> = VALUE_FLAGS.split_whitespace().collect();
+                        flags[rng.random_range(0..flags.len())].to_string()
+                    }
+                    1 => SWITCHES[rng.random_range(0..SWITCHES.len())].to_string(),
+                    2 => VALUES[rng.random_range(0..VALUES.len())].to_string(),
+                    _ => (0..rng.random_range(0..6usize))
+                        .map(|_| char::from(rng.random_range(0x20..0x7fu8)))
+                        .collect(),
+                })
+                .collect()
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn parsing_never_panics_and_every_value_flag_holds_at_most_one_value(argv in Argv) {
+            let parsed = BenchArgs::from_args(argv.clone());
+            for flag in VALUE_FLAGS.split_whitespace() {
+                let given = argv.iter().filter(|arg| *arg == flag).count();
+                let repeats = parsed.unknown.iter().filter(|u| u.starts_with(&format!("{flag} (given"))).count();
+                prop_assert_eq!(repeats, given.saturating_sub(1));
+            }
+        }
     }
 
     #[test]

@@ -100,6 +100,11 @@ fn usage_errors_are_2() {
     assert_eq!(code_of(&["run", "--smoke", "--shards", "2"]), 2, "supervise flag on run");
     assert_eq!(code_of(&["supervise", "--smoke"]), 2, "supervise requires --shards");
     assert_eq!(code_of(&["fuzz", "--smoke"]), 2, "fuzz requires --budget");
+    assert_eq!(code_of(&["run", "--smoke", "--shard", "1/3", "--shard", "2/3"]), 2, "repeat");
+    // Every worker must own a cell: K past the 72-cell smoke grid spawns nothing.
+    for shards in ["100", "18446744073709551615"] {
+        assert_eq!(code_of(&["supervise", "--smoke", "--shards", shards]), 2, "--shards {shards}");
+    }
 }
 
 #[test]

@@ -17,7 +17,6 @@
 
 use crate::campaign::Campaign;
 use crate::grid::ScenarioSpec;
-use crate::progress::Progress;
 use crate::report::{CampaignReport, CellOutcome, CellRecord, CellStats, ExecutionStats, Totals};
 use crate::telemetry::CellTelemetry;
 use bsm_core::solvability::{characterize, Solvability};
@@ -34,7 +33,6 @@ pub const THREADS_ENV: &str = "BSM_THREADS";
 #[derive(Debug, Clone)]
 pub struct Executor {
     threads: usize,
-    progress: Progress,
 }
 
 impl Default for Executor {
@@ -49,18 +47,12 @@ impl Executor {
     pub fn new() -> Self {
         let threads = parse_threads(std::env::var(THREADS_ENV).ok().as_deref())
             .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-        Self { threads, progress: Progress::Silent }
+        Self { threads }
     }
 
     /// Overrides the worker-thread count (clamped to at least 1).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Sets the progress reporter (default: silent).
-    pub fn progress(mut self, progress: Progress) -> Self {
-        self.progress = progress;
         self
     }
 
@@ -130,7 +122,6 @@ impl Executor {
         let specs = campaign.specs();
         let total = specs.len();
         let workers = self.threads.min(total);
-        let progress = self.progress;
         let cursor = AtomicUsize::new(0);
         let mut totals = Totals::default();
         let mut failure: Option<E> = None;
@@ -168,7 +159,6 @@ impl Executor {
                         break 'receive;
                     }
                     next += 1;
-                    progress.tick(next, total, start);
                 }
             }
             // On failure the receiver is dropped here; workers exit on their next

@@ -1,30 +1,26 @@
 //! Structured result export: hand-rolled JSON and CSV writers (no serde).
 //!
-//! Both document writers are pure functions of a [`CampaignReport`]: key order, number
-//! formatting and row order are all fixed, so two runs of the same campaign — with any
-//! thread counts — export byte-identical documents. Timing data never appears here by
-//! construction (it lives in [`crate::report::ExecutionStats`]).
-//!
-//! # Streaming writers
-//!
-//! `campaign_ctl` never holds every [`CellRecord`] of a run in memory; it uses the
-//! streaming writers, which reproduce the in-memory [`to_json`]/[`to_csv`] pair byte
-//! for byte:
+//! Each format has one writer, and key order, number formatting and row order are
+//! fixed in it, so two runs of the same campaign — with any thread counts — export
+//! byte-identical documents. Timing data never appears here by construction (it
+//! lives in [`crate::report::ExecutionStats`]). The writers stream: `campaign_ctl`
+//! never holds every [`CellRecord`] of a run in memory.
 //!
 //! * [`StreamingExporter`] — the **shard side**: writes one [`cell_json`] line per
 //!   completed cell (in strictly increasing coordinate order, enforced) and closes the
 //!   stream with a rolling-[`Totals`] footer line. The format is JSON lines, read back
 //!   lazily by [`crate::import::StreamingCells`].
-//! * [`MergedJsonWriter`] — the **coordinator side**: given the merged totals up front
-//!   (summed from shard footers), reproduces the [`to_json`] document byte for byte
-//!   from a stream of merged cells, verifying the folded totals at
-//!   [`finish`](MergedJsonWriter::finish).
-//! * [`StreamingCsvWriter`] — reproduces the [`to_csv`] document byte for byte from
-//!   the same merged stream (CSV has no totals, so no up-front knowledge is needed).
+//! * [`MergedJsonWriter`] — the `report.json` document: given the merged totals up
+//!   front (summed from shard footers), renders the document from a stream of merged
+//!   cells, verifying the folded totals at [`finish`](MergedJsonWriter::finish).
+//! * [`StreamingCsvWriter`] — the `report.csv` document from the same merged stream
+//!   (CSV has no totals, so no up-front knowledge is needed).
 //!
 //! All three enforce the canonical-coordinate-order invariant: cells must arrive in
 //! strictly increasing [`ScenarioSpec`] order, which is what makes the k-way
 //! [`CellMerge`] of shard streams byte-identical to a single-process run.
+//! [`to_json`] and [`to_csv`] render an in-memory [`CampaignReport`] by collecting
+//! the two document writers' output, so the layout lives only in the writers.
 //!
 //! # Crash-safe artifact writes
 //!
@@ -89,13 +85,8 @@ pub(crate) fn spec_fields_json(s: &ScenarioSpec) -> String {
     )
 }
 
-/// Writes the common JSON key/value pairs of one cell's coordinates.
-fn spec_json(record: &CellRecord) -> String {
-    spec_fields_json(&record.spec)
-}
-
-/// Renders the aggregate counters as the JSON object used by [`to_json`]'s `totals`
-/// field and by the streamed-export footer line (fixed key order, integers only).
+/// Renders the aggregate counters as the JSON object used by the `totals` field of
+/// `report.json` and by the streamed-export footer line (fixed key order, integers only).
 pub fn totals_json(totals: &Totals) -> String {
     format!(
         "{{\"scenarios\": {}, \"completed\": {}, \"solved_clean\": {}, \
@@ -113,8 +104,8 @@ pub fn totals_json(totals: &Totals) -> String {
     )
 }
 
-/// Renders one cell as the JSON object used by [`to_json`]'s `cells` array and, one
-/// object per line, by the streamed shard export.
+/// Renders one cell as the JSON object used by the `cells` array of `report.json`
+/// and, one object per line, by the streamed shard export.
 ///
 /// The object always carries the grid coordinates and a `status`; completed cells add
 /// the outcome stats, unsolvable cells the theorem and reason, failed cells the error
@@ -142,78 +133,65 @@ pub fn cell_json(cell: &CellRecord) -> String {
             format!("\"message\": \"{}\"", json_escape(message))
         }
     };
-    format!("{{{}, \"status\": \"{}\", {}}}", spec_json(cell), cell.outcome.status(), tail)
+    let status = cell.outcome.status();
+    format!("{{{}, \"status\": \"{status}\", {tail}}}", spec_fields_json(&cell.spec))
 }
 
-/// Renders a campaign report as a pretty-printed JSON document.
+/// Why collecting a report cannot fail: writes to a `Vec` do not, and a report's
+/// totals are folded from its cells.
+const COLLECTED: &str = "a report's cells are in strictly increasing coordinate order";
+
+/// Renders a campaign report as the `report.json` document: the
+/// [`MergedJsonWriter`] output of its cells, collected in memory.
 ///
-/// Layout: a `totals` object with the aggregate counters ([`totals_json`]), then a
-/// `cells` array with one [`cell_json`] object per cell in canonical order. The
-/// streaming counterpart — identical bytes without materializing the report — is
-/// [`MergedJsonWriter`].
+/// # Panics
+///
+/// When the report's cells are not in strictly increasing coordinate order — the
+/// order every [`Executor`](crate::executor::Executor) run over a built campaign,
+/// import and merge produces.
 pub fn to_json(report: &CampaignReport) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    // The scenario header key comes first, and only when the report carries one, so
-    // scenario-less reports render byte-identically to pre-scenario exports.
-    if let Some(scenario) = report.scenario() {
-        let _ = writeln!(out, "  \"scenario\": \"{}\",", json_escape(scenario));
-    }
-    let _ = writeln!(out, "  \"totals\": {},", totals_json(&report.totals()));
-    out.push_str("  \"cells\": [\n");
-    for (i, cell) in report.cells().iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {}{}",
-            cell_json(cell),
-            if i + 1 == report.cells().len() { "" } else { "," }
-        );
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let mut out = Vec::new();
+    let scenario = report.scenario().map(str::to_string);
+    MergedJsonWriter::with_scenario(&mut out, report.totals(), scenario)
+        .and_then(|mut writer| {
+            report.cells().iter().try_for_each(|cell| writer.write_cell(cell))?;
+            writer.finish()
+        })
+        .expect(COLLECTED);
+    String::from_utf8(out).expect("the writers emit UTF-8")
 }
 
 /// The CSV header row shared by every export.
 pub const CSV_HEADER: &str =
     "k,topology,auth,t_l,t_r,adversary,faults,seed,status,plan,all_honest_decided,violations,slots,messages,signatures,detail";
 
-/// Renders one cell as its [`to_csv`] row (no trailing newline).
+/// Renders one cell as its `report.csv` row (no trailing newline).
 ///
 /// Outcome-specific columns are left empty when they do not apply; `detail` carries
 /// the impossibility theorem/reason or the failure message.
 pub fn csv_row(cell: &CellRecord) -> String {
     let s = &cell.spec;
-    let (plan, decided, violations, slots, messages, signatures, detail) = match &cell.outcome {
+    // The six stats columns (plan to signatures), then `detail`.
+    let (stats, detail) = match &cell.outcome {
         CellOutcome::Completed(stats) => (
-            stats.plan.to_string(),
-            stats.all_honest_decided.to_string(),
-            stats.violations.to_string(),
-            stats.slots.to_string(),
-            stats.messages.to_string(),
-            stats.signatures.to_string(),
+            format!(
+                "{},{},{},{},{},{}",
+                csv_field(&stats.plan.to_string()),
+                stats.all_honest_decided,
+                stats.violations,
+                stats.slots,
+                stats.messages,
+                stats.signatures
+            ),
             String::new(),
         ),
-        CellOutcome::Unsolvable { theorem, reason } => (
-            String::new(),
-            String::new(),
-            String::new(),
-            String::new(),
-            String::new(),
-            String::new(),
-            format!("{theorem}: {reason}"),
-        ),
-        CellOutcome::Failed { message } => (
-            String::new(),
-            String::new(),
-            String::new(),
-            String::new(),
-            String::new(),
-            String::new(),
-            message.clone(),
-        ),
+        CellOutcome::Unsolvable { theorem, reason } => {
+            (",,,,,".to_string(), format!("{theorem}: {reason}"))
+        }
+        CellOutcome::Failed { message } => (",,,,,".to_string(), message.clone()),
     };
     format!(
-        "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
+        "{},{},{},{},{},{},{},{},{},{stats},{}",
         s.k,
         csv_field(&s.topology.to_string()),
         csv_field(&s.auth.to_string()),
@@ -223,26 +201,25 @@ pub fn csv_row(cell: &CellRecord) -> String {
         csv_field(&s.faults.to_string()),
         s.seed,
         cell.outcome.status(),
-        csv_field(&plan),
-        decided,
-        violations,
-        slots,
-        messages,
-        signatures,
         csv_field(&detail)
     )
 }
 
-/// Renders a campaign report as CSV: [`CSV_HEADER`] then one [`csv_row`] per cell in
-/// canonical order. The streaming counterpart is [`StreamingCsvWriter`].
+/// Renders a campaign report as the `report.csv` document: the
+/// [`StreamingCsvWriter`] output of its cells, collected in memory.
+///
+/// # Panics
+///
+/// Exactly as [`to_json`].
 pub fn to_csv(report: &CampaignReport) -> String {
-    let mut out = String::new();
-    out.push_str(CSV_HEADER);
-    out.push('\n');
-    for cell in report.cells() {
-        let _ = writeln!(out, "{}", csv_row(cell));
-    }
-    out
+    let mut out = Vec::new();
+    StreamingCsvWriter::new(&mut out)
+        .and_then(|mut writer| {
+            report.cells().iter().try_for_each(|cell| writer.write_cell(cell))?;
+            writer.finish()
+        })
+        .expect(COLLECTED);
+    String::from_utf8(out).expect("the writers emit UTF-8")
 }
 
 // ---------------------------------------------------------------------------
@@ -330,7 +307,7 @@ pub(crate) fn check_order(
 /// memory: [`Executor::run_streaming`] folds each completed cell into the
 /// rolling totals, hands it to [`write_cell`](Self::write_cell), and drops it. The
 /// resulting document is JSON lines — one cell object per line, byte-identical to the
-/// objects in [`to_json`]'s `cells` array, closed by a `{"totals": {...}}` footer
+/// objects in the `cells` array of `report.json`, closed by a `{"totals": {...}}` footer
 /// line that [`crate::import::StreamingCells`] verifies against the streamed cells.
 ///
 /// Cells must arrive in strictly increasing coordinate order (shard runs of built
@@ -396,24 +373,22 @@ impl<W: Write> StreamingExporter<W> {
     ///
     /// [`StreamError::Io`] on write or flush failure.
     pub fn finish(mut self) -> Result<Totals, StreamError> {
-        match &self.scenario {
-            Some(scenario) => writeln!(
-                self.writer,
-                "{{\"totals\": {}, \"scenario\": \"{}\"}}",
-                totals_json(&self.totals),
-                json_escape(scenario)
-            )?,
-            None => writeln!(self.writer, "{{\"totals\": {}}}", totals_json(&self.totals))?,
-        }
+        let tag = match &self.scenario {
+            Some(scenario) => format!(", \"scenario\": \"{}\"", json_escape(scenario)),
+            None => String::new(),
+        };
+        writeln!(self.writer, "{{\"totals\": {}{tag}}}", totals_json(&self.totals))?;
         self.writer.flush()?;
         Ok(self.totals)
     }
 }
 
-/// The coordinator-side streaming writer: reproduces the [`to_json`] document byte
-/// for byte from a stream of merged cells, without materializing a report.
+/// The `report.json` writer: renders the document from a stream of merged cells,
+/// without materializing a report.
 ///
-/// The [`to_json`] layout puts the totals *before* the cells, so a streaming writer
+/// Layout: the optional `scenario` key, a `totals` object with the aggregate
+/// counters ([`totals_json`]), then a `cells` array with one [`cell_json`] object
+/// per cell in canonical order. The totals come *before* the cells, so the writer
 /// must know them up front: the coordinator sums the per-shard footer totals (see
 /// [`crate::import::footer_totals`]) and passes the sum to [`new`](Self::new), which
 /// writes the document header. Every [`write_cell`](Self::write_cell) then appends
@@ -428,8 +403,7 @@ pub struct MergedJsonWriter<W: Write> {
     folded: Totals,
     last: Option<ScenarioSpec>,
     /// The previous cell's rendered line, held back until we know whether a comma
-    /// follows it (`to_json` separates cells with commas but leaves none after the
-    /// last).
+    /// follows it (cells are separated by commas, with none after the last).
     pending: Option<String>,
 }
 
@@ -445,8 +419,8 @@ impl<W: Write> MergedJsonWriter<W> {
     }
 
     /// Like [`new`](Self::new), with an optional canonical scenario serialization
-    /// rendered as the document's first key — matching [`to_json`] of a report tagged
-    /// via [`CampaignReport::with_scenario`](crate::report::CampaignReport::with_scenario).
+    /// rendered as the document's first key (the tag of
+    /// [`CampaignReport::with_scenario`](crate::report::CampaignReport::with_scenario)).
     ///
     /// # Errors
     ///
@@ -504,8 +478,8 @@ impl<W: Write> MergedJsonWriter<W> {
     }
 }
 
-/// Streaming counterpart of [`to_csv`]: the header row at construction, then one
-/// [`csv_row`] per cell in canonical order — byte-identical to the in-memory export.
+/// The `report.csv` writer: the header row at construction, then one [`csv_row`] per
+/// cell in canonical order.
 ///
 /// CSV carries no totals, so unlike [`MergedJsonWriter`] nothing needs to be known up
 /// front.
@@ -741,9 +715,10 @@ mod tests {
         assert_eq!(csv_field("two\nlines"), "\"two\nlines\"");
     }
 
-    #[test]
-    fn exports_cover_every_outcome_shape() {
-        let spec = ScenarioSpec {
+    /// One cell of each outcome shape; the failure message needs escaping in both
+    /// formats.
+    fn three_cells() -> Vec<CellRecord> {
+        let spec = |seed| ScenarioSpec {
             k: 3,
             topology: Topology::Bipartite,
             auth: AuthMode::Authenticated,
@@ -751,11 +726,11 @@ mod tests {
             t_r: 3,
             adversary: AdversarySpec::Lying,
             faults: bsm_net::FaultSpec::NONE,
-            seed: 1,
+            seed,
         };
-        let cells = vec![
+        vec![
             CellRecord {
-                spec,
+                spec: spec(1),
                 outcome: CellOutcome::Completed(CellStats {
                     plan: ProtocolPlan::BipartiteAuthLocal { committee_side: Side::Left },
                     all_honest_decided: true,
@@ -766,32 +741,50 @@ mod tests {
                 }),
             },
             CellRecord {
-                spec,
+                spec: spec(2),
                 outcome: CellOutcome::Unsolvable {
                     theorem: "Theorem 6".into(),
                     reason: "both sides too corrupt".into(),
                 },
             },
-            CellRecord { spec, outcome: CellOutcome::Failed { message: "sim, error".into() } },
-        ];
-        let report = CampaignReport::new(cells);
+            CellRecord {
+                spec: spec(3),
+                outcome: CellOutcome::Failed { message: "sim, \"error\"\n".into() },
+            },
+        ]
+    }
 
-        let json = to_json(&report);
-        assert!(json.contains("\"scenarios\": 3"), "{json}");
-        assert!(json.contains("\"status\": \"completed\""));
-        assert!(json.contains("\"theorem\": \"Theorem 6\""));
-        assert!(json.contains("\"message\": \"sim, error\""));
-        assert!(json.contains("ΠbSM"));
+    const COORDINATES: &str = "\"k\": 3, \"topology\": \"bipartite\", \"auth\": \"authenticated\", \
+                               \"t_l\": 0, \"t_r\": 3, \"adversary\": \"lying\", \"faults\": \"none\"";
 
-        let csv = to_csv(&report);
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 4);
-        assert_eq!(lines[0], CSV_HEADER);
-        assert!(lines[1].starts_with("3,bipartite,authenticated,0,3,lying,none,1,completed,"));
-        assert!(lines[2].contains("unsolvable"));
-        assert!(lines[3].contains("\"sim, error\""), "{csv}");
-        // Every row has the same column count (quotes respected).
-        assert!(lines[1].matches(',').count() >= CSV_HEADER.matches(',').count());
+    /// The `report.json` of [`three_cells`], after its optional scenario line.
+    fn three_cells_json() -> String {
+        format!(
+            "  \"totals\": {{\"scenarios\": 3, \"completed\": 1, \"solved_clean\": 1, \
+             \"unsolvable\": 1, \"failed\": 1, \"violations\": 0, \"slots\": 9, \
+             \"messages\": 42, \"signatures\": 17}},\n  \"cells\": [\n    {{{COORDINATES}, \
+             \"seed\": 1, \"status\": \"completed\", \"plan\": \"ΠbSM local matching \
+             (committee L)\", \"all_honest_decided\": true, \"violations\": 0, \"slots\": 9, \
+             \"messages\": 42, \"signatures\": 17}},\n    {{{COORDINATES}, \"seed\": 2, \
+             \"status\": \"unsolvable\", \"theorem\": \"Theorem 6\", \"reason\": \"both sides \
+             too corrupt\"}},\n    {{{COORDINATES}, \"seed\": 3, \"status\": \"failed\", \
+             \"message\": \"sim, \\\"error\\\"\\n\"}}\n  ]\n}}\n"
+        )
+    }
+
+    const THREE_CELLS_CSV: &str = "\
+k,topology,auth,t_l,t_r,adversary,faults,seed,status,plan,all_honest_decided,violations,slots,messages,signatures,detail
+3,bipartite,authenticated,0,3,lying,none,1,completed,ΠbSM local matching (committee L),true,0,9,42,17,
+3,bipartite,authenticated,0,3,lying,none,2,unsolvable,,,,,,,Theorem 6: both sides too corrupt
+3,bipartite,authenticated,0,3,lying,none,3,failed,,,,,,,\"sim, \"\"error\"\"
+\"
+";
+
+    #[test]
+    fn exports_cover_every_outcome_shape() {
+        let report = CampaignReport::new(three_cells());
+        assert_eq!(to_json(&report), format!("{{\n{}", three_cells_json()));
+        assert_eq!(to_csv(&report), THREE_CELLS_CSV);
     }
 
     #[test]
@@ -852,14 +845,22 @@ mod tests {
 
     #[test]
     fn merged_json_writer_reproduces_to_json_byte_for_byte() {
-        let report = small_report();
+        // Streamed cell by cell, with a scenario tag as the document's first key.
+        let tag = "name = \"demo\"\n";
+        let report = CampaignReport::new(three_cells()).with_scenario(tag);
         let mut buf = Vec::new();
-        let mut writer = MergedJsonWriter::new(&mut buf, report.totals()).unwrap();
+        let mut writer =
+            MergedJsonWriter::with_scenario(&mut buf, report.totals(), Some(tag.into())).unwrap();
         for cell in report.cells() {
             writer.write_cell(cell).unwrap();
         }
         assert_eq!(writer.finish().unwrap(), report.totals());
-        assert_eq!(String::from_utf8(buf).unwrap(), to_json(&report));
+        let expected =
+            format!("{{\n  \"scenario\": \"name = \\\"demo\\\"\\n\",\n{}", three_cells_json());
+        assert_eq!(String::from_utf8(buf).unwrap(), expected);
+        assert_eq!(to_json(&report), expected);
+        // CSV carries no scenario tag.
+        assert_eq!(to_csv(&report), THREE_CELLS_CSV);
     }
 
     #[test]
@@ -868,7 +869,13 @@ mod tests {
         let mut buf = Vec::new();
         let writer = MergedJsonWriter::new(&mut buf, empty.totals()).unwrap();
         writer.finish().unwrap();
-        assert_eq!(String::from_utf8(buf).unwrap(), to_json(&empty));
+        let expected =
+            "{\n  \"totals\": {\"scenarios\": 0, \"completed\": 0, \"solved_clean\": 0, \
+                        \"unsolvable\": 0, \"failed\": 0, \"violations\": 0, \"slots\": 0, \
+                        \"messages\": 0, \"signatures\": 0},\n  \"cells\": [\n  ]\n}\n";
+        assert_eq!(String::from_utf8(buf).unwrap(), expected);
+        assert_eq!(to_json(&empty), expected);
+        assert_eq!(to_csv(&empty), format!("{CSV_HEADER}\n"));
     }
 
     #[test]
@@ -886,14 +893,13 @@ mod tests {
 
     #[test]
     fn streaming_csv_writer_reproduces_to_csv_byte_for_byte() {
-        let report = small_report();
         let mut buf = Vec::new();
         let mut writer = StreamingCsvWriter::new(&mut buf).unwrap();
-        for cell in report.cells() {
+        for cell in &three_cells() {
             writer.write_cell(cell).unwrap();
         }
         writer.finish().unwrap();
-        assert_eq!(String::from_utf8(buf).unwrap(), to_csv(&report));
+        assert_eq!(String::from_utf8(buf).unwrap(), THREE_CELLS_CSV);
     }
 
     /// A scratch directory unique to the calling test (under the OS temp dir, so

@@ -118,34 +118,34 @@ impl Value {
 /// no writer produced — before it can overflow the parser's stack.
 pub const MAX_DEPTH: usize = 16;
 
-/// A recursive-descent parser over the document bytes.
+/// A recursive-descent parser over the document text.
 pub(crate) struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
     depth: usize,
 }
 
 impl<'a> Parser<'a> {
     pub(crate) fn new(text: &'a str) -> Self {
-        Self { bytes: text.as_bytes(), pos: 0, depth: 0 }
+        Self { text, pos: 0, depth: 0 }
     }
 
     fn error(&self, message: impl Into<String>) -> ImportError {
         ImportError::Syntax { offset: self.pos, message: message.into() }
     }
 
+    fn rest(&self) -> &'a [u8] {
+        &self.text.as_bytes()[self.pos..]
+    }
+
     fn skip_whitespace(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.rest().first().copied()
     }
 
     fn expect(&mut self, byte: u8) -> Result<(), ImportError> {
@@ -160,7 +160,7 @@ impl<'a> Parser<'a> {
     pub(crate) fn parse_document(&mut self) -> Result<Value, ImportError> {
         let value = self.parse_value()?;
         self.skip_whitespace();
-        if self.pos != self.bytes.len() {
+        if self.pos != self.text.len() {
             return Err(self.error("trailing content after the document"));
         }
         Ok(value)
@@ -246,7 +246,7 @@ impl<'a> Parser<'a> {
 
     fn parse_bool(&mut self) -> Result<Value, ImportError> {
         for (literal, value) in [("true", true), ("false", false)] {
-            if self.bytes[self.pos..].starts_with(literal.as_bytes()) {
+            if self.rest().starts_with(literal.as_bytes()) {
                 self.pos += literal.len();
                 return Ok(Value::Bool(value));
             }
@@ -262,8 +262,7 @@ impl<'a> Parser<'a> {
         if matches!(self.peek(), Some(b'.') | Some(b'e') | Some(b'E') | Some(b'-') | Some(b'+')) {
             return Err(self.error("only unsigned integers appear in campaign exports"));
         }
-        let digits =
-            std::str::from_utf8(&self.bytes[start..self.pos]).expect("digit range is ASCII");
+        let digits = &self.text[start..self.pos];
         // The writer renders integers canonically, so `007` is something the writer
         // cannot produce — reject it rather than silently normalizing to 7.
         if digits.len() > 1 && digits.starts_with('0') {
@@ -284,31 +283,24 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            let rest = &self.bytes[self.pos..];
-            let Some(&byte) = rest.first() else {
-                return Err(self.error("unterminated string"));
-            };
-            match byte {
-                b'"' => {
+            // Copy the run of plain characters up to the next quote, backslash or
+            // control byte in one slice: those are all ASCII, so the run ends on a
+            // character boundary.
+            let run = self.rest().iter().position(|&b| b == b'"' || b == b'\\' || b < 0x20);
+            let end = run.map_or(self.text.len(), |run| self.pos + run);
+            out.push_str(&self.text[self.pos..end]);
+            self.pos = end;
+            match self.peek() {
+                Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                b'\\' => {
+                Some(b'\\') => {
                     self.pos += 1;
                     out.push(self.parse_escape()?);
                 }
-                0x00..=0x1f => {
-                    return Err(self.error("unescaped control character in string"));
-                }
-                _ => {
-                    // Consume one UTF-8 scalar (the document is a &str, so slicing on
-                    // char boundaries is safe).
-                    let text = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.error("invalid UTF-8 in string"))?;
-                    let c = text.chars().next().expect("non-empty remainder");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => return Err(self.error("unescaped control character in string")),
+                None => return Err(self.error("unterminated string")),
             }
         }
     }
@@ -353,12 +345,13 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_hex4(&mut self) -> Result<u32, ImportError> {
-        let end = self.pos.checked_add(4).filter(|&e| e <= self.bytes.len());
+        let end = self.pos.checked_add(4).filter(|&e| e <= self.text.len());
         let Some(end) = end else {
             return Err(self.error("truncated \\u escape"));
         };
-        let hex = std::str::from_utf8(&self.bytes[self.pos..end])
-            .ok()
+        let hex = self
+            .text
+            .get(self.pos..end)
             .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()))
             .ok_or_else(|| self.error("non-hex \\u escape"))?;
         self.pos = end;
@@ -385,16 +378,19 @@ pub(crate) fn field<'v>(
         .ok_or_else(|| schema(format!("missing field {name:?}")))
 }
 
-pub(crate) fn as_object(value: &Value, what: &str) -> Result<Vec<(String, Value)>, ImportError> {
+pub(crate) fn as_object<'v>(
+    value: &'v Value,
+    what: &str,
+) -> Result<&'v [(String, Value)], ImportError> {
     match value {
-        Value::Object(fields) => Ok(fields.clone()),
+        Value::Object(fields) => Ok(fields),
         other => Err(schema(format!("{what}: expected object, found {}", other.type_name()))),
     }
 }
 
-pub(crate) fn as_array(value: &Value, what: &str) -> Result<Vec<Value>, ImportError> {
+pub(crate) fn as_array<'v>(value: &'v Value, what: &str) -> Result<&'v [Value], ImportError> {
     match value {
-        Value::Array(items) => Ok(items.clone()),
+        Value::Array(items) => Ok(items),
         other => Err(schema(format!("{what}: expected array, found {}", other.type_name()))),
     }
 }
@@ -409,6 +405,15 @@ pub(crate) fn number(fields: &[(String, Value)], name: &str) -> Result<u64, Impo
 pub(crate) fn usize_field(fields: &[(String, Value)], name: &str) -> Result<usize, ImportError> {
     usize::try_from(number(fields, name)?)
         .map_err(|_| schema(format!("{name}: value exceeds usize")))
+}
+
+pub(crate) fn u32_field(fields: &[(String, Value)], name: &str) -> Result<u32, ImportError> {
+    u32::try_from(number(fields, name)?).map_err(|_| schema(format!("{name}: value exceeds u32")))
+}
+
+/// `true` when `fields` has a key `name` (for the optional keys of a schema).
+pub(crate) fn has(fields: &[(String, Value)], name: &str) -> bool {
+    fields.iter().any(|(key, _)| key == name)
 }
 
 pub(crate) fn string<'v>(
@@ -468,21 +473,21 @@ pub(crate) fn parse_spec(fields: &[(String, Value)]) -> Result<ScenarioSpec, Imp
 
 fn parse_cell(value: &Value) -> Result<CellRecord, ImportError> {
     let fields = as_object(value, "cell")?;
-    let spec = parse_spec(&fields)?;
-    let outcome = match string(&fields, "status")? {
+    let spec = parse_spec(fields)?;
+    let outcome = match string(fields, "status")? {
         "completed" => CellOutcome::Completed(CellStats {
-            plan: parse_plan(string(&fields, "plan")?)?,
-            all_honest_decided: boolean(&fields, "all_honest_decided")?,
-            violations: usize_field(&fields, "violations")?,
-            slots: number(&fields, "slots")?,
-            messages: number(&fields, "messages")?,
-            signatures: number(&fields, "signatures")?,
+            plan: parse_plan(string(fields, "plan")?)?,
+            all_honest_decided: boolean(fields, "all_honest_decided")?,
+            violations: usize_field(fields, "violations")?,
+            slots: number(fields, "slots")?,
+            messages: number(fields, "messages")?,
+            signatures: number(fields, "signatures")?,
         }),
         "unsolvable" => CellOutcome::Unsolvable {
-            theorem: string(&fields, "theorem")?.to_string(),
-            reason: string(&fields, "reason")?.to_string(),
+            theorem: string(fields, "theorem")?.to_string(),
+            reason: string(fields, "reason")?.to_string(),
         },
-        "failed" => CellOutcome::Failed { message: string(&fields, "message")?.to_string() },
+        "failed" => CellOutcome::Failed { message: string(fields, "message")?.to_string() },
         other => return Err(schema(format!("unknown cell status {other:?}"))),
     };
     Ok(CellRecord { spec, outcome })
@@ -524,37 +529,122 @@ fn verify_totals(fields: &[(String, Value)], recomputed: Totals) -> Result<(), I
 ///
 /// [`ImportError::Syntax`] for malformed JSON, [`ImportError::Schema`] for well-formed
 /// JSON that does not match the export layout (unknown axis names, missing fields,
-/// totals inconsistent with the cells).
+/// cells out of canonical coordinate order, totals inconsistent with the cells).
 pub fn from_json(json: &str) -> Result<CampaignReport, ImportError> {
     let document = Parser::new(json).parse_document()?;
     let root = as_object(&document, "document root")?;
-    let cells_value = match field(&root, "cells")? {
-        Value::Array(items) => items.clone(),
-        other => return Err(schema(format!("cells: expected array, found {}", other.type_name()))),
-    };
-    let cells = cells_value.iter().map(parse_cell).collect::<Result<Vec<_>, _>>()?;
+    let cells = as_array(field(root, "cells")?, "cells")?
+        .iter()
+        .map(parse_cell)
+        .collect::<Result<Vec<_>, _>>()?;
+    // The writers emit cells in strictly increasing coordinate order, as the
+    // streamed import checks too; a report in any other order could not be rendered.
+    if let Some(pair) = cells.windows(2).find(|pair| pair[1].spec <= pair[0].spec) {
+        let (previous, next) = (pair[0].spec, pair[1].spec);
+        return Err(schema(format!(
+            "cell out of canonical coordinate order: {next} after {previous}"
+        )));
+    }
     let mut report = CampaignReport::new(cells);
     // Reports exported from a declarative scenario file carry the canonical
     // scenario text as an optional root key; scenario-less documents omit it.
-    if let Some((_, value)) = root.iter().find(|(key, _)| key == "scenario") {
-        match value {
-            Value::String(text) => report = report.with_scenario(text.clone()),
-            other => {
-                return Err(schema(format!(
-                    "scenario: expected string, found {}",
-                    other.type_name()
-                )))
-            }
-        }
+    if has(root, "scenario") {
+        report = report.with_scenario(string(root, "scenario")?);
     }
-    let totals_fields = as_object(field(&root, "totals")?, "totals")?;
-    verify_totals(&totals_fields, report.totals())?;
+    verify_totals(as_object(field(root, "totals")?, "totals")?, report.totals())?;
     Ok(report)
 }
 
 // ---------------------------------------------------------------------------
 // Streaming import (JSON lines)
 // ---------------------------------------------------------------------------
+
+/// The JSON-lines reading under both line readers, [`StreamingCells`] (`report.jsonl`)
+/// and [`crate::telemetry::TelemetryCells`] (`metrics.jsonl`): one reused line
+/// buffer, 1-based line numbers, CR/LF trimming, blank-line rejection, errors
+/// positioned at their line, the strictly increasing coordinate order, and fusing
+/// after the first error.
+#[derive(Debug)]
+pub(crate) struct JsonLines<R> {
+    reader: R,
+    /// Line buffer reused across the whole stream (one allocation, not one per line).
+    buf: String,
+    line: usize,
+    last: Option<ScenarioSpec>,
+    /// What the lines describe, for error messages (`"cell"`, `"telemetry"`).
+    what: &'static str,
+    /// Set by the first error; the stream yields nothing after it.
+    fused: bool,
+}
+
+impl<R: BufRead> JsonLines<R> {
+    pub(crate) fn new(reader: R, what: &'static str) -> Self {
+        Self { reader, buf: String::new(), line: 0, last: None, what, fused: false }
+    }
+
+    /// Reads the next line, without its line terminator, into the buffer;
+    /// `Ok(false)` at EOF.
+    fn read_line(&mut self) -> Result<bool, ImportError> {
+        self.buf.clear();
+        let read =
+            self.reader.read_line(&mut self.buf).map_err(|err| ImportError::Io(err.to_string()))?;
+        if read == 0 {
+            return Ok(false);
+        }
+        self.line += 1;
+        let len = self.buf.trim_end_matches(['\n', '\r']).len();
+        self.buf.truncate(len);
+        Ok(true)
+    }
+
+    fn blank(&self) -> bool {
+        self.buf.trim().is_empty()
+    }
+
+    /// A [`ImportError::Stream`] at the current line.
+    fn error(&self, message: impl Into<String>) -> ImportError {
+        ImportError::Stream { line: self.line, message: message.into() }
+    }
+
+    /// Fuses the stream when `result` is an error.
+    fn fuse<T>(&mut self, result: Result<T, ImportError>) -> Result<T, ImportError> {
+        self.fused |= result.is_err();
+        result
+    }
+
+    /// The next line parsed by `parse`; `None` at EOF and once fused. A blank or
+    /// unparsable line fails the stream at its line number.
+    pub(crate) fn next<T>(
+        &mut self,
+        parse: impl FnOnce(&str) -> Result<T, ImportError>,
+    ) -> Option<Result<T, ImportError>> {
+        if self.fused {
+            return None;
+        }
+        let result = match self.read_line() {
+            Ok(false) => return None,
+            Ok(true) if self.blank() => {
+                Err(self.error(format!("blank line in {} stream", self.what)))
+            }
+            Ok(true) => parse(&self.buf).map_err(|err| self.error(err.to_string())),
+            Err(err) => Err(err),
+        };
+        Some(self.fuse(result))
+    }
+
+    /// Checks that `spec` follows the previous line's coordinates in strictly
+    /// increasing canonical order.
+    pub(crate) fn order(&mut self, spec: ScenarioSpec) -> Result<(), ImportError> {
+        if let Some(previous) = self.last.filter(|previous| spec <= *previous) {
+            let message =
+                format!("{} out of canonical coordinate order: {spec} after {previous}", self.what);
+            let err = self.error(message);
+            return self.fuse(Err(err));
+        }
+        self.last = Some(spec);
+        Ok(())
+    }
+}
 
 /// What a parsed stream line turned out to be. A footer optionally carries the
 /// canonical scenario text of the scenario file that produced the stream.
@@ -570,26 +660,19 @@ enum StreamLine {
 fn parse_stream_line(text: &str) -> Result<StreamLine, ImportError> {
     let value = Parser::new(text).parse_document()?;
     let fields = as_object(&value, "stream line")?;
-    match fields.as_slice() {
-        [(key, totals_value)] if key == "totals" => {
-            let totals_fields = as_object(totals_value, "totals")?;
-            Ok(StreamLine::Footer(parse_totals(&totals_fields)?, None))
-        }
-        [(key, totals_value), (tag, tag_value)] if key == "totals" && tag == "scenario" => {
-            let totals_fields = as_object(totals_value, "totals")?;
-            let scenario = match tag_value {
-                Value::String(text) => text.clone(),
-                other => {
-                    return Err(schema(format!(
-                        "scenario: expected string, found {}",
-                        other.type_name()
-                    )))
-                }
-            };
-            Ok(StreamLine::Footer(parse_totals(&totals_fields)?, Some(scenario)))
-        }
-        _ => Ok(StreamLine::Cell(parse_cell(&value)?)),
+    let footer = match fields {
+        [(key, _)] => key == "totals",
+        [(key, _), (tag, _)] => key == "totals" && tag == "scenario",
+        _ => false,
+    };
+    if !footer {
+        return Ok(StreamLine::Cell(parse_cell(&value)?));
     }
+    let scenario = match has(fields, "scenario") {
+        true => Some(string(fields, "scenario")?.to_string()),
+        false => None,
+    };
+    Ok(StreamLine::Footer(parse_totals(as_object(field(fields, "totals")?, "totals")?)?, scenario))
 }
 
 /// A lazy cell iterator over a streamed shard export — the inverse of
@@ -608,24 +691,11 @@ fn parse_stream_line(text: &str) -> Result<StreamLine, ImportError> {
 /// ([`crate::report::CellMerge`]) runs over.
 #[derive(Debug)]
 pub struct StreamingCells<R: BufRead> {
-    reader: R,
-    /// Line buffer reused across the whole stream (one allocation, not one per line).
-    buf: String,
-    line: usize,
+    lines: JsonLines<R>,
     folded: Totals,
-    last: Option<ScenarioSpec>,
     scenario: Option<String>,
-    state: StreamState,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum StreamState {
-    /// Still expecting cell lines (or the footer).
-    Cells,
-    /// Footer verified; the stream ended cleanly.
-    Done,
-    /// An error was yielded; the iterator is fused.
-    Failed,
+    /// The footer has been read and verified; the stream ended cleanly.
+    finished: bool,
 }
 
 impl<R: BufRead> StreamingCells<R> {
@@ -633,13 +703,10 @@ impl<R: BufRead> StreamingCells<R> {
     /// [`next`](Iterator::next)).
     pub fn new(reader: R) -> Self {
         Self {
-            reader,
-            buf: String::new(),
-            line: 0,
+            lines: JsonLines::new(reader, "cell"),
             folded: Totals::default(),
-            last: None,
             scenario: None,
-            state: StreamState::Cells,
+            finished: false,
         }
     }
 
@@ -651,7 +718,7 @@ impl<R: BufRead> StreamingCells<R> {
 
     /// `true` once the totals footer has been read and verified.
     pub fn finished(&self) -> bool {
-        self.state == StreamState::Done
+        self.finished
     }
 
     /// The canonical scenario text carried by the footer, for streams exported from a
@@ -661,30 +728,21 @@ impl<R: BufRead> StreamingCells<R> {
         self.scenario.as_deref()
     }
 
-    /// Fails the stream: fuses the iterator and yields `err`.
-    fn fail(&mut self, err: ImportError) -> Option<Result<CellRecord, ImportError>> {
-        self.state = StreamState::Failed;
-        Some(Err(err))
-    }
-
-    /// A [`ImportError::Stream`] at the current line.
-    fn stream_error(&self, message: impl Into<String>) -> ImportError {
-        ImportError::Stream { line: self.line, message: message.into() }
-    }
-
-    /// Reads the next line into the reused buffer (`self.buf`); `Ok(false)` at EOF.
-    fn read_line(&mut self) -> Result<bool, ImportError> {
-        self.buf.clear();
-        let read =
-            self.reader.read_line(&mut self.buf).map_err(|err| ImportError::Io(err.to_string()))?;
-        if read == 0 {
-            return Ok(false);
+    /// Verifies the footer against the folded cells and that it ends the stream.
+    fn footer(&mut self, declared: Totals) -> Result<(), ImportError> {
+        if declared != self.folded {
+            return Err(self.lines.error(format!(
+                "totals footer does not match the streamed cells: declared [{declared}], \
+                 folded [{}]",
+                self.folded
+            )));
         }
-        self.line += 1;
-        while self.buf.ends_with('\n') || self.buf.ends_with('\r') {
-            self.buf.pop();
+        while self.lines.read_line()? {
+            if !self.lines.blank() {
+                return Err(self.lines.error("content after the totals footer"));
+            }
         }
-        Ok(true)
+        Ok(())
     }
 }
 
@@ -692,71 +750,32 @@ impl<R: BufRead> Iterator for StreamingCells<R> {
     type Item = Result<CellRecord, ImportError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.state != StreamState::Cells {
+        if self.finished || self.lines.fused {
             return None;
         }
-        match self.read_line() {
-            Err(err) => return self.fail(err),
-            Ok(false) => {
-                return self.fail(ImportError::Stream {
-                    line: 0,
-                    message: "stream ended without a totals footer (truncated export?)".into(),
-                });
+        let result = match self.lines.next(parse_stream_line) {
+            Some(Ok(StreamLine::Cell(record))) => {
+                let ordered = self.lines.order(record.spec);
+                return Some(ordered.map(|()| {
+                    self.folded.record(&record.outcome);
+                    record
+                }));
             }
-            Ok(true) => {}
-        }
-        if self.buf.trim().is_empty() {
-            return self.fail(self.stream_error("blank line in cell stream"));
-        }
-        let parsed = match parse_stream_line(&self.buf) {
-            Ok(parsed) => parsed,
-            Err(err) => {
-                let err = self.stream_error(err.to_string());
-                return self.fail(err);
+            Some(Ok(StreamLine::Footer(declared, scenario))) => {
+                self.footer(declared).map(|()| self.scenario = scenario)
             }
+            Some(Err(err)) => return Some(Err(err)),
+            None => Err(ImportError::Stream {
+                line: 0,
+                message: "stream ended without a totals footer (truncated export?)".into(),
+            }),
         };
-        match parsed {
-            StreamLine::Footer(declared, scenario) => {
-                if declared != self.folded {
-                    let (folded, line) = (self.folded, self.line);
-                    return self.fail(ImportError::Stream {
-                        line,
-                        message: format!(
-                            "totals footer does not match the streamed cells: declared \
-                             [{declared}], folded [{folded}]"
-                        ),
-                    });
-                }
-                // The footer must be the last line of the stream.
-                loop {
-                    match self.read_line() {
-                        Err(err) => return self.fail(err),
-                        Ok(false) => break,
-                        Ok(true) if self.buf.trim().is_empty() => {}
-                        Ok(true) => {
-                            let err = self.stream_error("content after the totals footer");
-                            return self.fail(err);
-                        }
-                    }
-                }
-                self.scenario = scenario;
-                self.state = StreamState::Done;
+        match self.lines.fuse(result) {
+            Ok(()) => {
+                self.finished = true;
                 None
             }
-            StreamLine::Cell(record) => {
-                if let Some(previous) = self.last {
-                    if record.spec <= previous {
-                        let err = self.stream_error(format!(
-                            "cells out of canonical coordinate order: {} after {previous}",
-                            record.spec
-                        ));
-                        return self.fail(err);
-                    }
-                }
-                self.last = Some(record.spec);
-                self.folded.record(&record.outcome);
-                Some(Ok(record))
-            }
+            Err(err) => Some(Err(err)),
         }
     }
 }
@@ -840,20 +859,13 @@ impl<R: BufRead> StreamingCells<R> {
 ///
 /// [`ImportError::Io`] on read failure, [`ImportError::Stream`] when the stream is
 /// empty or its last line is not a well-formed `{"totals": {...}}` footer.
-pub fn footer_meta<R: BufRead>(mut reader: R) -> Result<(Totals, Option<String>), ImportError> {
-    let mut buf = String::new();
-    let mut last = String::new();
-    let (mut line, mut last_line) = (0usize, 0usize);
-    loop {
-        buf.clear();
-        let read = reader.read_line(&mut buf).map_err(|err| ImportError::Io(err.to_string()))?;
-        if read == 0 {
-            break;
-        }
-        line += 1;
-        if !buf.trim().is_empty() {
-            std::mem::swap(&mut last, &mut buf);
-            last_line = line;
+pub fn footer_meta<R: BufRead>(reader: R) -> Result<(Totals, Option<String>), ImportError> {
+    let mut lines = JsonLines::new(reader, "cell");
+    let (mut last, mut last_line) = (String::new(), 0usize);
+    while lines.read_line()? {
+        if !lines.blank() {
+            std::mem::swap(&mut last, &mut lines.buf);
+            last_line = lines.line;
         }
     }
     if last_line == 0 {
@@ -862,7 +874,7 @@ pub fn footer_meta<R: BufRead>(mut reader: R) -> Result<(Totals, Option<String>)
             message: "empty stream: no totals footer".into(),
         });
     }
-    match parse_stream_line(last.trim_end_matches(['\n', '\r'])) {
+    match parse_stream_line(&last) {
         Ok(StreamLine::Footer(totals, scenario)) => Ok((totals, scenario)),
         Ok(StreamLine::Cell(_)) => Err(ImportError::Stream {
             line: last_line,
@@ -906,7 +918,7 @@ mod tests {
     use super::*;
     use crate::campaign::CampaignBuilder;
     use crate::executor::Executor;
-    use crate::export::{to_json, StreamingExporter};
+    use crate::export::{cell_json, to_json, StreamingExporter};
 
     #[test]
     fn import_inverts_export_on_a_real_campaign() {
@@ -977,13 +989,44 @@ mod tests {
     }
 
     #[test]
+    fn cells_out_of_coordinate_order_are_rejected() {
+        let (report, _) = streamed_report();
+        let json = to_json(&report);
+        let (first, second) = (cell_json(&report.cells()[0]), cell_json(&report.cells()[1]));
+        let swapped = json.replacen(&first, "FIRST", 1).replacen(&second, &first, 1);
+        let err = from_json(&swapped.replacen("FIRST", &second, 1)).unwrap_err();
+        assert!(err.to_string().contains("cell out of canonical coordinate order"), "{err}");
+        let doubled = json.replacen(&second, &first, 1);
+        assert!(from_json(&doubled).is_err(), "a repeated cell is out of order too");
+    }
+
+    #[test]
     fn string_escapes_decode_including_surrogate_pairs() {
-        let mut parser = Parser::new(r#""a\"b\\c\n\t\u0001\ud83e\udd80é""#);
-        let parsed = parser.parse_string().unwrap();
-        assert_eq!(parsed, "a\"b\\c\n\t\u{1}🦀é");
+        // Plain text is copied in runs up to the next quote, backslash or control
+        // byte, so multi-byte characters sit directly against each delimiter here.
+        for (input, decoded) in [
+            (r#""a\"b\\c\n\t\u0001\ud83e\udd80é""#, "a\"b\\c\n\t\u{1}🦀é"),
+            (r#""é\nü""#, "é\nü"),
+            (r#""🦀\u00e9🦀""#, "🦀é🦀"),
+            (r#""\"Π\"ΠbSM\\""#, "\"Π\"ΠbSM\\"),
+            (r#""""#, ""),
+        ] {
+            assert_eq!(Parser::new(input).parse_string().unwrap(), decoded, "{input}");
+        }
         for bad in [r#""\ud800x""#, r#""\ud800 ""#, r#""\uZZZZ""#, r#""\q""#] {
             assert!(Parser::new(bad).parse_string().is_err(), "{bad} should not parse");
         }
+        // Error offsets count bytes, past multi-byte text too.
+        let syntax =
+            |offset, message: &str| ImportError::Syntax { offset, message: message.into() };
+        let control = syntax(3, "unescaped control character in string");
+        assert_eq!(Parser::new("\"é\u{1}\"").parse_string(), Err(control));
+        let truncated = syntax(5, "truncated \\u escape");
+        assert_eq!(Parser::new("\"é\\u12").parse_string(), Err(truncated));
+        // Four bytes that end inside a character are no hex digits either.
+        let split = syntax(3, "non-hex \\u escape");
+        assert_eq!(Parser::new("\"\\u123é\"").parse_string(), Err(split));
+        assert_eq!(Parser::new("\"Πb").parse_string(), Err(syntax(4, "unterminated string")));
     }
 
     /// A real campaign report and its streamed (JSON lines) export.
@@ -996,7 +1039,7 @@ mod tests {
             exporter.write_cell(cell).unwrap();
         }
         exporter.finish().unwrap();
-        (report, String::from_utf8(buf).unwrap())
+        (report, std::io::read_to_string(&buf[..]).unwrap())
     }
 
     #[test]
@@ -1101,7 +1144,7 @@ mod tests {
             exporter.write_cell(cell).unwrap();
         }
         exporter.finish().unwrap();
-        let text = String::from_utf8(buf).unwrap();
+        let text = std::io::read_to_string(&buf[..]).unwrap();
         let mut stream = StreamingCells::new(text.as_bytes());
         let cells: Vec<CellRecord> = (&mut stream).collect::<Result<_, _>>().unwrap();
         assert_eq!(cells, report.cells());
@@ -1305,6 +1348,7 @@ mod tests {
             };
             cells.push(CellRecord { spec, outcome });
         }
+        cells.sort_by_key(|cell| cell.spec);
         let report = CampaignReport::new(cells);
         let imported = from_json(&to_json(&report)).unwrap();
         assert_eq!(imported, report, "round-trip altered a cell");

@@ -14,13 +14,13 @@
 //! * [`report`] — [`CampaignReport`]: per-cell outcome stats (plan, violations,
 //!   slots, messages, signatures) plus aggregate [`Totals`]; wall-clock throughput
 //!   lives in the separate [`ExecutionStats`],
-//! * [`export`] — hand-rolled JSON and CSV writers (no serde) whose output is a pure
-//!   function of the report, plus the streaming writers ([`StreamingExporter`],
-//!   [`MergedJsonWriter`], [`StreamingCsvWriter`]) for campaigns that never
-//!   materialize,
-//! * [`import`] — the inverse hand-rolled JSON readers: parse an exported document
-//!   back into a [`CampaignReport`] (round-trip exact), or iterate a streamed shard
-//!   export lazily with [`StreamingCells`],
+//! * [`export`] — hand-rolled streaming writers (no serde), one per format:
+//!   [`StreamingExporter`] (`report.jsonl`), [`MergedJsonWriter`] (`report.json`)
+//!   and [`StreamingCsvWriter`] (`report.csv`); [`to_json`]/[`to_csv`] collect the
+//!   two document writers' output for an in-memory report,
+//! * [`import`] — the inverse hand-rolled JSON reader, linear in the input: parse an
+//!   exported document back into a [`CampaignReport`] (round-trip exact), or iterate
+//!   a streamed shard export lazily with [`StreamingCells`],
 //! * [`diff`] — [`CampaignDiff`]: cell-level comparison of two reports, rendering
 //!   only the differing cells,
 //! * [`scenario_file`] — [`ScenarioFile`]: the declarative TOML-subset scenario
@@ -39,12 +39,12 @@
 //!   ([`SuperviseSummary`]), and deterministic crash injection
 //!   ([`ChaosSpec`]/[`CrashPoint`]) for testing supervision against real
 //!   SIGKILL-style deaths,
-//! * [`progress`] — an optional scenarios/sec + ETA reporter on stderr,
 //! * [`telemetry`] — the observability side channel: per-cell attributed cost
 //!   records ([`CellTelemetry`]) streamed to a `metrics.jsonl` sidecar, log-bucketed
 //!   [`Histogram`]s and `campaign_ctl stats` aggregation ([`CampaignStats`]), and
-//!   live `progress.json` shard heartbeats ([`Heartbeat`]); report artifacts stay
-//!   byte-identical with telemetry on or off.
+//!   live `progress.json` shard heartbeats ([`Heartbeat`]), each beat echoed as one
+//!   done/total, rate and ETA line on stderr; report artifacts stay byte-identical
+//!   with telemetry on or off.
 //!
 //! # Sharded campaigns
 //!
@@ -136,7 +136,6 @@ pub mod export;
 pub mod fuzz;
 pub mod grid;
 pub mod import;
-pub mod progress;
 pub mod report;
 pub mod scenario_file;
 pub mod supervise;
@@ -155,7 +154,6 @@ pub use grid::{ScenarioSpec, ShardPlan, ShardPlanError};
 pub use import::{
     footer_meta, footer_totals, from_json, from_jsonl, ImportError, SalvagedPrefix, StreamingCells,
 };
-pub use progress::Progress;
 pub use report::{
     CampaignReport, CellMerge, CellMergeError, CellOutcome, CellRecord, CellStats, ExecutionStats,
     Totals,

@@ -19,7 +19,8 @@
 //!   [`CampaignStats`]: the p50/p90/p99, top-N and per-axis rollup aggregation behind
 //!   `campaign_ctl stats`.
 //! * [`Heartbeat`] — a `progress.json` per shard out-dir, atomically rewritten every
-//!   N cells, which is the dead-shard detection signal a coordinator daemon polls;
+//!   N cells, which is the dead-shard detection signal a coordinator daemon polls and,
+//!   echoed as one stderr line per beat, the live progress of a run;
 //!   [`ProgressSnapshot`] parses it back.
 //!
 //! # Deterministic vs timing fields
@@ -36,7 +37,8 @@
 use crate::export::{check_order, spec_fields_json, StreamError};
 use crate::grid::ScenarioSpec;
 use crate::import::{
-    as_object, field, number, parse_spec, schema, string, usize_field, ImportError, Parser,
+    as_object, field, has, number, parse_spec, schema, string, u32_field, usize_field, ImportError,
+    JsonLines, Parser,
 };
 use bsm_crypto::CounterSnapshot;
 use bsm_net::{FanoutSummary, RoleFanout};
@@ -160,41 +162,41 @@ impl CellTelemetry {
 pub fn parse_telemetry_line(text: &str) -> Result<CellTelemetry, ImportError> {
     let value = Parser::new(text).parse_document()?;
     let fields = as_object(&value, "telemetry line")?;
-    let spec = parse_spec(&fields)?;
-    let status = match string(&fields, "status")? {
+    let spec = parse_spec(fields)?;
+    let status = match string(fields, "status")? {
         "completed" => "completed",
         "unsolvable" => "unsolvable",
         "failed" => "failed",
         other => return Err(schema(format!("unknown telemetry status {other:?}"))),
     };
-    let timing = as_object(field(&fields, "timing")?, "timing")?;
+    let timing = as_object(field(fields, "timing")?, "timing")?;
     Ok(CellTelemetry {
         spec,
         status,
         crypto: CounterSnapshot {
-            digests_computed: number(&fields, "digests")?,
-            signatures_verified: number(&fields, "verified")?,
-            verify_cache_hits: number(&fields, "cache_hits")?,
+            digests_computed: number(fields, "digests")?,
+            signatures_verified: number(fields, "verified")?,
+            verify_cache_hits: number(fields, "cache_hits")?,
         },
-        messages: number(&fields, "messages")?,
-        delivered: number(&fields, "delivered")?,
-        dropped: number(&fields, "dropped")?,
-        delayed: number(&fields, "delayed")?,
-        rejected: number(&fields, "rejected")?,
-        slots: number(&fields, "slots")?,
+        messages: number(fields, "messages")?,
+        delivered: number(fields, "delivered")?,
+        dropped: number(fields, "dropped")?,
+        delayed: number(fields, "delayed")?,
+        rejected: number(fields, "rejected")?,
+        slots: number(fields, "slots")?,
         fanout: FanoutSummary {
             honest: RoleFanout {
-                senders: number(&fields, "honest_senders")?,
-                total: number(&fields, "honest_sent")?,
-                max: number(&fields, "honest_max")?,
+                senders: number(fields, "honest_senders")?,
+                total: number(fields, "honest_sent")?,
+                max: number(fields, "honest_max")?,
             },
             byzantine: RoleFanout {
-                senders: number(&fields, "byz_senders")?,
-                total: number(&fields, "byz_sent")?,
-                max: number(&fields, "byz_max")?,
+                senders: number(fields, "byz_senders")?,
+                total: number(fields, "byz_sent")?,
+                max: number(fields, "byz_max")?,
             },
         },
-        wall_nanos: number(&timing, "wall_nanos")?,
+        wall_nanos: number(timing, "wall_nanos")?,
     })
 }
 
@@ -251,22 +253,13 @@ impl<W: Write> TelemetryExporter<W> {
 /// published, so a partial file is never observable at its final path).
 #[derive(Debug)]
 pub struct TelemetryCells<R: BufRead> {
-    reader: R,
-    buf: String,
-    line: usize,
-    last: Option<ScenarioSpec>,
-    failed: bool,
+    lines: JsonLines<R>,
 }
 
 impl<R: BufRead> TelemetryCells<R> {
     /// Starts reading sidecar lines from `reader`.
     pub fn new(reader: R) -> Self {
-        Self { reader, buf: String::new(), line: 0, last: None, failed: false }
-    }
-
-    fn fail(&mut self, err: ImportError) -> Option<Result<CellTelemetry, ImportError>> {
-        self.failed = true;
-        Some(Err(err))
+        Self { lines: JsonLines::new(reader, "telemetry") }
     }
 }
 
@@ -274,43 +267,8 @@ impl<R: BufRead> Iterator for TelemetryCells<R> {
     type Item = Result<CellTelemetry, ImportError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.failed {
-            return None;
-        }
-        self.buf.clear();
-        match self.reader.read_line(&mut self.buf) {
-            Err(err) => return self.fail(ImportError::Io(err.to_string())),
-            Ok(0) => return None,
-            Ok(_) => {}
-        }
-        self.line += 1;
-        let line = self.line;
-        let text = self.buf.trim_end_matches(['\n', '\r']);
-        if text.trim().is_empty() {
-            return self.fail(ImportError::Stream {
-                line,
-                message: "blank line in telemetry stream".into(),
-            });
-        }
-        let cell = match parse_telemetry_line(text) {
-            Ok(cell) => cell,
-            Err(err) => {
-                return self.fail(ImportError::Stream { line, message: err.to_string() });
-            }
-        };
-        if let Some(previous) = self.last {
-            if cell.spec <= previous {
-                return self.fail(ImportError::Stream {
-                    line,
-                    message: format!(
-                        "telemetry out of canonical coordinate order: {} after {previous}",
-                        cell.spec
-                    ),
-                });
-            }
-        }
-        self.last = Some(cell.spec);
-        Some(Ok(cell))
+        let cell = self.lines.next(parse_telemetry_line)?;
+        Some(cell.and_then(|cell| self.lines.order(cell.spec).map(|()| cell)))
     }
 }
 
@@ -576,6 +534,10 @@ pub const HEARTBEAT_EVERY: usize = 32;
 /// rewritten every `every` cells (plus once at creation and once at
 /// [`finish`](Self::finish)).
 ///
+/// The heartbeat is also the live progress reporter: every beat prints one
+/// `[bsm-engine] done/total scenarios, rate, ETA` line to stderr from the state it
+/// writes.
+///
 /// The heartbeat is the dead-shard detection signal for a coordinator daemon: the
 /// file always parses as complete JSON (each rewrite is a temp-file +
 /// atomic-rename, never an in-place write, so a reader can never observe a torn
@@ -686,6 +648,7 @@ impl Heartbeat {
         self.seq += 1;
         let wall = self.start.elapsed().as_secs_f64();
         let rate = if wall > 0.0 { self.done as f64 / wall } else { 0.0 };
+        eprintln!("{}", progress_line(self.done, self.total, rate));
         let delta = bsm_crypto::counters::snapshot() - self.base;
         let last = match &self.last {
             Some(spec) => format!(", \"last\": {{{}}}", spec_fields_json(spec)),
@@ -709,6 +672,17 @@ impl Heartbeat {
             delta.verify_cache_hits,
         );
         crate::export::atomic_write(&self.path, doc)
+    }
+}
+
+/// The stderr line of one beat: cells done of the total, then the rate and the ETA
+/// once a rate is known.
+fn progress_line(done: usize, total: usize, rate: f64) -> String {
+    if rate > 0.0 {
+        let eta = total.saturating_sub(done) as f64 / rate;
+        format!("[bsm-engine] {done}/{total} scenarios, {rate:.1}/sec, ETA {eta:.1}s")
+    } else {
+        format!("[bsm-engine] {done}/{total} scenarios")
     }
 }
 
@@ -749,40 +723,34 @@ pub fn parse_progress(text: &str) -> Result<ProgressSnapshot, ImportError> {
     let value = Parser::new(text.trim_end()).parse_document()?;
     let fields = as_object(&value, "progress document")?;
     let timing_float = |name: &str| -> Result<f64, ImportError> {
-        string(&fields, name)?
+        string(fields, name)?
             .parse::<f64>()
             .map_err(|_| schema(format!("{name}: expected a decimal string")))
     };
-    let last = match fields.iter().find(|(key, _)| key == "last") {
-        Some((_, value)) => Some(parse_spec(&as_object(value, "last")?)?),
-        None => None,
+    let last = match has(fields, "last") {
+        true => Some(parse_spec(as_object(field(fields, "last")?, "last")?)?),
+        false => None,
     };
     // Supervision fields arrived after the format's first release; a heartbeat
     // written by an older engine parses with "unknown" defaults instead of
     // failing, so a mixed-version fleet stays observable.
-    let optional = |name: &str, default: u64| -> Result<u64, ImportError> {
-        match fields.iter().any(|(key, _)| key == name) {
-            true => number(&fields, name),
-            false => Ok(default),
-        }
-    };
-    let narrow = |name: &str, value: u64| -> Result<u32, ImportError> {
-        u32::try_from(value).map_err(|_| schema(format!("{name}: value exceeds u32")))
-    };
-    let crypto = as_object(field(&fields, "crypto")?, "crypto")?;
+    let seq = if has(fields, "seq") { number(fields, "seq")? } else { 0 };
+    let pid = if has(fields, "pid") { u32_field(fields, "pid")? } else { 0 };
+    let attempt = if has(fields, "attempt") { u32_field(fields, "attempt")? } else { 1 };
+    let crypto = as_object(field(fields, "crypto")?, "crypto")?;
     Ok(ProgressSnapshot {
-        done: usize_field(&fields, "done")?,
-        total: usize_field(&fields, "total")?,
-        seq: optional("seq", 0)?,
-        pid: narrow("pid", optional("pid", 0)?)?,
-        attempt: narrow("attempt", optional("attempt", 1)?)?,
+        done: usize_field(fields, "done")?,
+        total: usize_field(fields, "total")?,
+        seq,
+        pid,
+        attempt,
         rate_per_sec: timing_float("rate_per_sec")?,
         wall_seconds: timing_float("wall_seconds")?,
         last,
         crypto: CounterSnapshot {
-            digests_computed: number(&crypto, "digests")?,
-            signatures_verified: number(&crypto, "verified")?,
-            verify_cache_hits: number(&crypto, "cache_hits")?,
+            digests_computed: number(crypto, "digests")?,
+            signatures_verified: number(crypto, "verified")?,
+            verify_cache_hits: number(crypto, "cache_hits")?,
         },
     })
 }
@@ -1056,6 +1024,17 @@ mod tests {
         let heartbeat = Heartbeat::new(&dir, 10, 32).unwrap().starting_at(6).unwrap();
         let beat = parse_progress(&std::fs::read_to_string(heartbeat.path()).unwrap()).unwrap();
         assert_eq!((beat.done, beat.total), (6, 10));
+    }
+
+    #[test]
+    fn heartbeat_line_reports_rate_and_eta() {
+        let line = progress_line(50, 100, 10.0);
+        assert_eq!(line, "[bsm-engine] 50/100 scenarios, 10.0/sec, ETA 5.0s");
+    }
+
+    #[test]
+    fn heartbeat_line_without_a_rate_omits_the_eta() {
+        assert_eq!(progress_line(0, 10, 0.0), "[bsm-engine] 0/10 scenarios");
     }
 
     #[test]

@@ -20,7 +20,7 @@
 
 use byzantine_stable_matching::engine::export::{to_csv, to_json};
 use byzantine_stable_matching::engine::{
-    Campaign, CampaignBuilder, CampaignReport, CellMerge, Executor, Progress, ShardPlan,
+    Campaign, CampaignBuilder, CampaignReport, CellMerge, Executor, ShardPlan,
 };
 use byzantine_stable_matching::AdversarySpec;
 use std::convert::Infallible;
@@ -108,8 +108,7 @@ fn main() -> ExitCode {
     let mut exports: Vec<(usize, String, String, f64)> = Vec::new();
     let mut totals = None;
     for &threads in &counts {
-        let executor = Executor::new().threads(threads).progress(Progress::Stderr { every: 250 });
-        let (report, stats) = executor.run(&campaign);
+        let (report, stats) = Executor::new().threads(threads).run(&campaign);
         eprintln!("threads={threads}: {stats}");
         exports.push((threads, to_json(&report), to_csv(&report), stats.elapsed.as_secs_f64()));
         totals = Some(report.totals());
