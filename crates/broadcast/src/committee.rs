@@ -261,7 +261,7 @@ impl<V: Value> RoundProtocol for CommitteeBroadcast<V> {
                     .and_then(|k| k.output())
                     .unwrap_or_else(|| self.config.default.clone());
                 self.reports.insert(me, agreed.clone());
-                for party in self.config.all_parties.clone() {
+                for &party in &self.config.all_parties {
                     if party != me {
                         out.push(Outgoing::new(party, CommitteeMsg::Report(agreed.clone())));
                     }

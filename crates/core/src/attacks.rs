@@ -37,6 +37,7 @@ use bsm_crypto::SigningKey;
 use bsm_matching::{PreferenceList, PreferenceProfile, Side};
 use bsm_net::{Adversary, AdversaryContext, Envelope, Outgoing, PartyId, Topology};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A ready-to-run impossibility experiment.
 pub struct Attack {
@@ -326,7 +327,7 @@ struct ForgedRelay {
     target: PartyId,
     origin: PartyId,
     id: u64,
-    inner: ProtoMsg,
+    inner: Arc<ProtoMsg>,
 }
 
 /// The Lemma 13 adversary.
@@ -363,7 +364,7 @@ impl FullSidePartitionAdversary {
         let mut next_id = 0u64;
         let mut forged =
             |target: PartyId, origin: PartyId, inner: ProtoMsg, relays: &mut Vec<ForgedRelay>| {
-                relays.push(ForgedRelay { target, origin, id: next_id, inner });
+                relays.push(ForgedRelay { target, origin, id: next_id, inner: Arc::new(inner) });
                 next_id += 1;
             };
 
@@ -475,7 +476,7 @@ impl Adversary<WireMsg> for FullSidePartitionAdversary {
                         target: forged.target,
                         id: forged.id,
                         sent_at: slot,
-                        inner: forged.inner.clone(),
+                        inner: Arc::clone(&forged.inner),
                         signature: Some(signature),
                     },
                 ),

@@ -6,19 +6,23 @@
 //! The target accepts the message once it can attribute it to the origin:
 //!
 //! * **Majority mode** (unauthenticated, Lemma 6): accept once strictly more than `k/2`
-//!   distinct relayers delivered the identical payload — sound as long as the relaying
-//!   side has an honest majority.
+//!   distinct relayers delivered the identical `(τ, m)` — sound as long as the relaying
+//!   side has an honest majority. Copies are compared by value, with a pointer-equality
+//!   fast path: [`RelayEngine::send`] allocates one shared payload per logical send, so
+//!   honest relayers forward the very same allocation and a match costs a pointer
+//!   compare, not a hash.
 //! * **Signed mode** (authenticated, Lemmas 8 and 10): accept a payload carrying a valid
 //!   origin signature over `(origin → target, τ, id, m)`, provided at most `max_age`
 //!   slots have passed since `τ`. One honest relayer suffices; if every relayer is
 //!   byzantine the message may be omitted but can never be altered — exactly the
-//!   omission model of §5.2.
+//!   omission model of §5.2. This is the only mode that hashes: [`relay_digest`] is
+//!   what the origin signs and the target verifies.
 
 use crate::wire::{ProtoMsg, WireMsg};
 use bsm_crypto::{Digest, DigestWriter, Digestible, KeyId, Pki, SigningKey, Verifier};
-use bsm_matching::Side;
 use bsm_net::{Outgoing, PartyId, PartySet, Time, Topology};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// How relayed payloads are authenticated by their final recipient.
 #[derive(Debug, Clone)]
@@ -42,6 +46,9 @@ pub enum RelayMode {
 
 /// The digest an origin signs over when relaying `inner` to `target` — the
 /// `(P → P′, τ, id, m)` tuple of the paper's protocols.
+///
+/// Signed mode only (Lemmas 8 and 10): majority mode compares relayed copies by value
+/// and never hashes them.
 pub fn relay_digest(
     origin: PartyId,
     target: PartyId,
@@ -61,9 +68,28 @@ pub fn relay_digest(
     writer.finish()
 }
 
-/// Majority-relay vote state for one (origin, id): each candidate payload digest maps
-/// to the first payload observed with that digest and the distinct relayers backing it.
-type DigestTally = BTreeMap<Digest, (ProtoMsg, BTreeSet<PartyId>)>;
+/// One majority-relay candidate for an (origin, id): a distinct `(τ, m)` value and the
+/// distinct relayers that delivered it.
+struct Candidate {
+    sent_at: u64,
+    payload: Arc<ProtoMsg>,
+    relayers: BTreeSet<PartyId>,
+}
+
+impl Candidate {
+    /// Whether a delivered `(sent_at, payload)` is this candidate. Honest copies share
+    /// the origin's allocation, so the pointer compare settles them; only a copy some
+    /// relayer rebuilt falls through to the value compare.
+    fn is(&self, sent_at: u64, payload: &Arc<ProtoMsg>) -> bool {
+        self.sent_at == sent_at
+            && (Arc::ptr_eq(&self.payload, payload) || *self.payload == **payload)
+    }
+}
+
+/// Majority-relay vote state for one (origin, id): its candidates in arrival order.
+/// A lookup scans them, so a relayer flooding forged candidates makes later lookups
+/// for that (origin, id) longer, never wrong; the entry is freed on acceptance.
+type CandidateTally = Vec<Candidate>;
 
 /// Per-party relay engine: wraps outgoing sends, performs relay duty, and authenticates
 /// incoming relayed payloads.
@@ -79,9 +105,9 @@ pub struct RelayEngine {
     /// accept/reject decision.
     verifier: Option<Verifier>,
     next_id: u64,
-    /// Majority mode: (origin, id) → payload digest → distinct relayers seen (plus the
-    /// first payload observed for that digest).
-    tallies: BTreeMap<(PartyId, u64), DigestTally>,
+    /// Majority mode: (origin, id) → every candidate `(τ, m)` seen and the distinct
+    /// relayers backing it. An entry is freed once its message is delivered.
+    tallies: BTreeMap<(PartyId, u64), CandidateTally>,
     /// Messages already delivered to the protocol, by (origin, id).
     delivered: BTreeSet<(PartyId, u64)>,
 }
@@ -133,16 +159,13 @@ impl RelayEngine {
     }
 
     /// The parties that relay for `origin`: everyone on the opposite side.
-    fn relayers_of(&self, origin: PartyId) -> Vec<PartyId> {
-        let opposite = match origin.side {
-            Side::Left => Side::Right,
-            Side::Right => Side::Left,
-        };
-        self.parties.side(opposite).collect()
+    fn relayers_of(&self, origin: PartyId) -> impl Iterator<Item = PartyId> + '_ {
+        self.parties.side(origin.side.opposite())
     }
 
     /// Wraps an outgoing protocol message into wire messages: a single direct send when
-    /// the channel exists, or one relay request per opposite-side relayer otherwise.
+    /// the channel exists, or one relay request per opposite-side relayer otherwise. The
+    /// relay requests share one payload allocation.
     pub fn send(&mut self, to: PartyId, msg: ProtoMsg, now: Time) -> Vec<Outgoing<WireMsg>> {
         if self.topology.connects(self.me, to) {
             return vec![Outgoing::new(to, WireMsg::Direct(msg))];
@@ -158,8 +181,8 @@ impl RelayEngine {
             }
             _ => None,
         };
+        let inner = Arc::new(msg);
         self.relayers_of(self.me)
-            .into_iter()
             .map(|relayer| {
                 Outgoing::new(
                     relayer,
@@ -167,7 +190,7 @@ impl RelayEngine {
                         target: to,
                         id,
                         sent_at,
-                        inner: msg.clone(),
+                        inner: Arc::clone(&inner),
                         signature,
                     },
                 )
@@ -214,20 +237,22 @@ impl RelayEngine {
                     RelayMode::Direct => (Vec::new(), Vec::new()),
                     RelayMode::Majority => {
                         let threshold = self.parties.k() / 2 + 1;
-                        let digest =
-                            relay_digest(origin, target, id, sent_at, &inner, self.parties.k());
-                        let entry = self
-                            .tallies
-                            .entry((origin, id))
-                            .or_default()
-                            .entry(digest)
-                            .or_insert_with(|| (inner, BTreeSet::new()));
-                        entry.1.insert(from);
-                        if entry.1.len() >= threshold {
-                            let payload = entry.0.clone();
+                        let tally = self.tallies.entry((origin, id)).or_default();
+                        let at =
+                            tally.iter().position(|c| c.is(sent_at, &inner)).unwrap_or_else(|| {
+                                let relayers = BTreeSet::new();
+                                tally.push(Candidate { sent_at, payload: inner, relayers });
+                                tally.len() - 1
+                            });
+                        tally[at].relayers.insert(from);
+                        if tally[at].relayers.len() >= threshold {
+                            let winner = self
+                                .tallies
+                                .remove(&(origin, id))
+                                .expect("the tally was just updated")
+                                .swap_remove(at);
                             self.delivered.insert((origin, id));
-                            self.tallies.remove(&(origin, id));
-                            (vec![(origin, payload)], Vec::new())
+                            (vec![(origin, Arc::unwrap_or_clone(winner.payload))], Vec::new())
                         } else {
                             (Vec::new(), Vec::new())
                         }
@@ -253,7 +278,7 @@ impl RelayEngine {
                             return (Vec::new(), Vec::new());
                         }
                         self.delivered.insert((origin, id));
-                        (vec![(origin, inner)], Vec::new())
+                        (vec![(origin, Arc::unwrap_or_clone(inner))], Vec::new())
                     }
                 }
             }
@@ -265,6 +290,7 @@ impl RelayEngine {
 mod tests {
     use super::*;
     use crate::wire::ProtoBody;
+    use bsm_crypto::counters::{thread_snapshot, CounterSnapshot};
 
     fn msg(tag: u64) -> ProtoMsg {
         ProtoMsg { instance: 0, body: ProtoBody::Suggest(Some(tag)) }
@@ -321,7 +347,7 @@ mod tests {
             target: PartyId::left(2),
             id: 0,
             sent_at: 0,
-            inner: msg(5),
+            inner: Arc::new(msg(5)),
             signature: None,
         };
         let (accepted, duties) = relayer.handle(PartyId::left(0), request, Time(1));
@@ -337,7 +363,7 @@ mod tests {
             target: PartyId::right(1),
             id: 1,
             sent_at: 0,
-            inner: msg(5),
+            inner: Arc::new(msg(5)),
             signature: None,
         };
         let (a, d) = relayer.handle(PartyId::left(0), bogus, Time(1));
@@ -355,7 +381,7 @@ mod tests {
             target: me,
             id: 7,
             sent_at: 0,
-            inner: payload,
+            inner: Arc::new(payload),
             signature: None,
         };
         // One relayer delivering a forged payload and one honest delivery: no acceptance
@@ -419,7 +445,7 @@ mod tests {
             target,
             id: id + 1,
             sent_at,
-            inner: msg(99),
+            inner: Arc::new(msg(99)),
             signature,
         };
         let (rejected, _) = receiver_engine.handle(PartyId::right(0), tampered, Time(2));
@@ -441,7 +467,7 @@ mod tests {
             target,
             id: 50,
             sent_at: 9,
-            inner: msg(5),
+            inner: Arc::new(msg(5)),
             signature: None,
         };
         let (rejected, _) = receiver_engine.handle(PartyId::right(0), unsigned, Time(10));
@@ -458,12 +484,158 @@ mod tests {
             target: me,
             id: 0,
             sent_at: 0,
-            inner: msg(1),
+            inner: Arc::new(msg(1)),
             signature: None,
         };
         let (accepted, duties) = engine.handle(PartyId::right(0), deliver, Time(1));
         assert!(accepted.is_empty());
         assert!(duties.is_empty());
+    }
+
+    /// A majority-mode engine for `me` in a bipartite market of size 3.
+    fn majority_engine(me: PartyId) -> RelayEngine {
+        RelayEngine::new(me, parties(), Topology::Bipartite, RelayMode::Majority, None)
+    }
+
+    /// A relayed delivery of `inner` for (origin, id 7).
+    fn delivery(origin: PartyId, target: PartyId, sent_at: u64, inner: Arc<ProtoMsg>) -> WireMsg {
+        WireMsg::RelayDeliver { origin, target, id: 7, sent_at, inner, signature: None }
+    }
+
+    #[test]
+    fn send_shares_one_payload_across_its_relay_requests() {
+        let mut engine = majority_engine(PartyId::left(0));
+        let out = engine.send(PartyId::left(2), msg(1), Time(0));
+        let payloads: Vec<&Arc<ProtoMsg>> = out
+            .iter()
+            .map(|o| match &o.payload {
+                WireMsg::RelayRequest { inner, .. } => inner,
+                other => panic!("expected a relay request, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(payloads.len(), 3);
+        assert!(payloads.iter().all(|p| Arc::ptr_eq(p, payloads[0])));
+        // A second send allocates its own payload.
+        let next = engine.send(PartyId::left(2), msg(1), Time(0));
+        let WireMsg::RelayRequest { inner, .. } = &next[0].payload else {
+            panic!("expected a relay request");
+        };
+        assert!(!Arc::ptr_eq(inner, payloads[0]));
+    }
+
+    #[test]
+    fn majority_same_payload_with_different_sent_at_is_a_different_candidate() {
+        let (origin, me) = (PartyId::left(0), PartyId::left(2));
+        let mut engine = majority_engine(me);
+        // Equal payload values in separate allocations, so only the value compare can
+        // match them.
+        let (a, _) =
+            engine.handle(PartyId::right(0), delivery(origin, me, 0, Arc::new(msg(1))), Time(2));
+        assert!(a.is_empty());
+        let (a, _) =
+            engine.handle(PartyId::right(1), delivery(origin, me, 1, Arc::new(msg(1))), Time(2));
+        assert!(a.is_empty(), "two relayers backing different τ must not reach 2 of 3");
+        assert_eq!(engine.tallies[&(origin, 7)].len(), 2);
+        let (a, _) =
+            engine.handle(PartyId::right(2), delivery(origin, me, 0, Arc::new(msg(1))), Time(2));
+        assert_eq!(a, vec![(origin, msg(1))]);
+    }
+
+    #[test]
+    fn majority_relayer_backing_several_candidates_counts_toward_each() {
+        let (origin, me) = (PartyId::left(0), PartyId::left(2));
+        // Either of the byzantine relayer's candidates wins once one more relayer backs it.
+        for second in [msg(9), msg(1)] {
+            let mut engine = majority_engine(me);
+            let byzantine = PartyId::right(0);
+            for payload in [msg(9), msg(1)] {
+                let (a, _) =
+                    engine.handle(byzantine, delivery(origin, me, 0, Arc::new(payload)), Time(2));
+                assert!(a.is_empty());
+            }
+            assert_eq!(engine.tallies[&(origin, 7)].len(), 2);
+            let (a, _) = engine.handle(
+                PartyId::right(1),
+                delivery(origin, me, 0, Arc::new(second.clone())),
+                Time(2),
+            );
+            assert_eq!(a, vec![(origin, second)]);
+        }
+    }
+
+    #[test]
+    fn forged_flood_does_not_block_the_honest_payload() {
+        let (origin, me) = (PartyId::left(0), PartyId::left(2));
+        let mut engine = majority_engine(me);
+        for forged in 1000..2000 {
+            let flood = delivery(origin, me, 0, Arc::new(msg(forged)));
+            let (a, _) = engine.handle(PartyId::right(0), flood, Time(2));
+            assert!(a.is_empty(), "a lone relayer must never reach the threshold");
+        }
+        assert_eq!(engine.tallies[&(origin, 7)].len(), 1000);
+        let honest = Arc::new(msg(1));
+        let (a, _) =
+            engine.handle(PartyId::right(1), delivery(origin, me, 0, Arc::clone(&honest)), Time(2));
+        assert!(a.is_empty());
+        let (a, _) = engine.handle(PartyId::right(2), delivery(origin, me, 0, honest), Time(2));
+        assert_eq!(a, vec![(origin, msg(1))]);
+        assert!(engine.tallies.is_empty(), "acceptance frees the (origin, id) tally");
+        // A forged copy arriving after acceptance is dropped without a new tally.
+        let late = delivery(origin, me, 0, Arc::new(msg(1500)));
+        let (a, _) = engine.handle(PartyId::right(0), late, Time(3));
+        assert!(a.is_empty() && engine.tallies.is_empty());
+    }
+
+    /// Runs one send from `sender` to `receiver` through every relayer's duty and hands
+    /// the deliveries to `receiver`. Returns what it accepted and the crypto work done
+    /// after the send (relay duty plus delivery).
+    fn relay_through(
+        sender: &mut RelayEngine,
+        receiver: &mut RelayEngine,
+        payload: ProtoMsg,
+    ) -> (Vec<(PartyId, ProtoMsg)>, CounterSnapshot) {
+        let (origin, target) = (sender.me, receiver.me);
+        let requests = sender.send(target, payload, Time(0));
+        let before = thread_snapshot();
+        let mut accepted = Vec::new();
+        for request in requests {
+            // Relay duty is the same in every mode and needs no key.
+            let mut relayer = majority_engine(request.to);
+            let (_, duties) = relayer.handle(origin, request.payload, Time(1));
+            for duty in duties {
+                accepted.extend(receiver.handle(request.to, duty.payload, Time(2)).0);
+            }
+        }
+        (accepted, thread_snapshot() - before)
+    }
+
+    #[test]
+    fn majority_delivery_computes_no_digest() {
+        let mut sender = majority_engine(PartyId::left(0));
+        let mut receiver = majority_engine(PartyId::left(2));
+        let (accepted, work) = relay_through(&mut sender, &mut receiver, msg(4));
+        assert_eq!(accepted, vec![(PartyId::left(0), msg(4))]);
+        assert_eq!(work.digests_computed, 0);
+    }
+
+    #[test]
+    fn signed_mode_computes_one_relay_digest_per_verified_delivery() {
+        let k = 3usize;
+        let pki = Pki::new(2 * k as u32);
+        let key_of: BTreeMap<PartyId, KeyId> =
+            PartySet::new(k).iter().map(|p| (p, KeyId(p.dense(k) as u32))).collect();
+        let (origin, target) = (PartyId::left(0), PartyId::left(2));
+        let mode = RelayMode::Signed { pki: pki.clone(), key_of: key_of.clone(), max_age: 2 };
+        let key = |p: PartyId| pki.signing_key(key_of[&p].0);
+        let mut sender =
+            RelayEngine::new(origin, parties(), Topology::Bipartite, mode.clone(), key(origin));
+        let mut receiver =
+            RelayEngine::new(target, parties(), Topology::Bipartite, mode, key(target));
+        let (accepted, work) = relay_through(&mut sender, &mut receiver, msg(4));
+        // The first delivery is verified (one digest); the other two are duplicates.
+        assert_eq!(accepted, vec![(origin, msg(4))]);
+        assert_eq!(work.digests_computed, 1);
+        assert_eq!(work.signatures_verified, 1);
     }
 
     #[test]

@@ -29,6 +29,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
 use std::path::Path;
+use std::sync::Arc;
 
 /// One step of a scripted attack.
 ///
@@ -719,11 +720,18 @@ fn peek_nth(
 
 /// The Dolev–Strong payload of a wire message (looking through relay wrappers),
 /// together with its instance tag.
+///
+/// A relayed payload is shared with the other relay copies of its send, so it is
+/// copied on write: tampering with one copy leaves the others as the origin sent them.
 fn ds_body(msg: &mut WireMsg) -> Option<(u32, &mut DolevStrongMsg<PrefVec>)> {
     let inner = match msg {
         WireMsg::Direct(inner) => inner,
-        WireMsg::RelayRequest { inner, .. } => inner,
-        WireMsg::RelayDeliver { inner, .. } => inner,
+        WireMsg::RelayRequest { inner, .. } | WireMsg::RelayDeliver { inner, .. } => {
+            if !matches!(inner.body, ProtoBody::Ds(_)) {
+                return None;
+            }
+            Arc::make_mut(inner)
+        }
     };
     match &mut inner.body {
         ProtoBody::Ds(ds) => Some((inner.instance, ds)),
@@ -916,6 +924,7 @@ impl Adversary<WireMsg> for ScriptedAdversary {
 mod tests {
     use super::*;
     use crate::harness::AdversarySpec;
+    use crate::wire::ProtoMsg;
 
     fn all_action_kinds() -> Vec<ScriptAction> {
         vec![
@@ -1197,6 +1206,56 @@ mod tests {
         // Determinism: the same script reproduces the same outcome.
         let again = script.run().unwrap();
         assert_same_outcome(&outcome, &again);
+    }
+
+    #[test]
+    fn tampering_one_relayed_copy_leaves_the_others_unchanged() {
+        let original = Arc::new(ProtoMsg {
+            instance: 1,
+            body: ProtoBody::Ds(DolevStrongMsg {
+                value: vec![0, 1, 2],
+                chain: SigChain::default(),
+            }),
+        });
+        let mut copies: Vec<WireMsg> = (0..3)
+            .map(|_| WireMsg::RelayRequest {
+                target: PartyId::left(2),
+                id: 0,
+                sent_at: 0,
+                inner: Arc::clone(&original),
+                signature: None,
+            })
+            .collect();
+        let (instance, ds) = ds_body(&mut copies[1]).expect("a relayed Dolev–Strong payload");
+        assert_eq!(instance, 1);
+        ds.value.rotate_left(1);
+        let inner = |msg: &WireMsg| match msg {
+            WireMsg::RelayRequest { inner, .. } => Arc::clone(inner),
+            other => panic!("expected a relay request, got {other:?}"),
+        };
+        assert!(Arc::ptr_eq(&inner(&copies[0]), &original));
+        assert!(Arc::ptr_eq(&inner(&copies[2]), &original));
+        assert!(!Arc::ptr_eq(&inner(&copies[1]), &original));
+        let ProtoBody::Ds(tampered) = &inner(&copies[1]).body else {
+            panic!("the tampered copy is still a Dolev–Strong payload");
+        };
+        assert_eq!(tampered.value, vec![1, 2, 0]);
+        let ProtoBody::Ds(untouched) = &original.body else { unreachable!() };
+        assert_eq!(untouched.value, vec![0, 1, 2]);
+        // A relayed payload of another protocol is not Dolev–Strong and stays shared.
+        let suggest = Arc::new(ProtoMsg { instance: 0, body: ProtoBody::Suggest(None) });
+        let mut other = WireMsg::RelayDeliver {
+            origin: PartyId::left(0),
+            target: PartyId::left(2),
+            id: 0,
+            sent_at: 0,
+            inner: Arc::clone(&suggest),
+            signature: None,
+        };
+        assert!(ds_body(&mut other).is_none());
+        assert!(
+            matches!(&other, WireMsg::RelayDeliver { inner, .. } if Arc::ptr_eq(inner, &suggest))
+        );
     }
 
     #[test]

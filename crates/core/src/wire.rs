@@ -10,6 +10,7 @@ use bsm_broadcast::{BaMsg, BbMsg, CommitteeMsg, DolevStrongMsg};
 use bsm_crypto::{DigestWriter, Digestible, Signature};
 use bsm_matching::{PreferenceList, Side};
 use bsm_net::PartyId;
+use std::sync::Arc;
 
 /// A preference list in wire form: the ranked opposite-side indices, most preferred
 /// first.
@@ -133,8 +134,8 @@ pub enum WireMsg {
         /// Slot at which the origin handed the message to the relays (the `τ` of the
         /// paper's `(P → P′, τ, id, m)` tuples).
         sent_at: u64,
-        /// The relayed payload.
-        inner: ProtoMsg,
+        /// The relayed payload, shared by every relay request of one send.
+        inner: Arc<ProtoMsg>,
         /// Origin signature over the relay digest (authenticated settings only).
         signature: Option<Signature>,
     },
@@ -148,8 +149,8 @@ pub enum WireMsg {
         id: u64,
         /// Slot at which the origin handed the message to the relays.
         sent_at: u64,
-        /// The relayed payload.
-        inner: ProtoMsg,
+        /// The relayed payload, shared by every relay request of one send.
+        inner: Arc<ProtoMsg>,
         /// Origin signature over the relay digest (authenticated settings only).
         signature: Option<Signature>,
     },
