@@ -59,9 +59,9 @@
 //! campaign_ctl resume --smoke --shard 2/3 --out shards/2
 //! ```
 //!
-//! All final artifacts (`report.json`, `report.csv`, `metrics.jsonl`,
-//! `BENCH_engine.json`) are published through a temp-file + atomic-rename, so a
-//! crash at any instant can never leave a truncated file at a tracked path.
+//! All final artifacts (`report.json`, `report.csv`, `metrics.jsonl`) are published
+//! through a temp-file + atomic-rename, so a crash at any instant can never leave a
+//! truncated file at a tracked path.
 //!
 //! # Supervision (`supervise`)
 //!
@@ -589,50 +589,6 @@ fn supervise(args: &BenchArgs) -> Result<CtlCode, CtlError> {
     Ok(CtlCode::Success)
 }
 
-/// `bench`: run the fixed Dolev-Strong-heavy benchmark campaign and write the
-/// `BENCH_engine.json` performance snapshot (see [`bsm_engine::bench`]).
-///
-/// `--smoke` selects the quick CI grid; the default full grid is the one behind the
-/// tracked repo-root baseline. `--out DIR` chooses where `BENCH_engine.json` lands
-/// (default: the current directory, i.e. the repo root when run from a checkout).
-fn bench(args: &BenchArgs) -> Result<CtlCode, CtlError> {
-    // The benchmark campaign is fixed by design (the snapshot is only comparable
-    // across runs of the same grid); silently accepting run-flavored flags would
-    // ship a mislabeled baseline with exit 0.
-    if args.shard.is_some() || args.metrics || args.scenario.is_some() || !args.files.is_empty() {
-        return Err(CtlError::Usage(
-            "bench: --shard, --metrics, --scenario and file arguments \
-             are not supported (the benchmark campaign is fixed and its snapshot \
-             already carries the counter deltas; use --smoke, --threads, --out)"
-                .into(),
-        ));
-    }
-    let executor = args.executor();
-    eprintln!(
-        "running {} benchmark campaign on {} thread(s)",
-        if args.smoke { "quick" } else { "full" },
-        executor.thread_count()
-    );
-    let snapshot = bsm_engine::bench::run(&executor, args.smoke);
-    let dir = args.out.clone().unwrap_or_else(|| PathBuf::from("."));
-    let path = dir.join("BENCH_engine.json");
-    std::fs::create_dir_all(&dir)
-        .and_then(|()| atomic_write(&path, snapshot.to_json()))
-        .map_err(|err| format!("cannot write {}: {err}", path.display()))?;
-    println!(
-        "{} cells in {:.3}s ({:.1} scenarios/sec); {} signatures verified \
-         (+{} cache hits), {} digests computed",
-        snapshot.cells,
-        snapshot.wall_seconds,
-        snapshot.scenarios_per_sec,
-        snapshot.signatures_verified,
-        snapshot.verify_cache_hits,
-        snapshot.digests_computed
-    );
-    println!("exported {}", path.display());
-    Ok(CtlCode::Success)
-}
-
 /// `fuzz`: the violation-guided adversary fuzzer (see `docs/FUZZING.md`).
 ///
 /// `fuzz --budget N --seed S` runs the seeded search loop over adversary-script
@@ -992,14 +948,13 @@ fn dispatch(subcommand: &str, args: &BenchArgs) -> Result<CtlCode, CtlError> {
         "run" => run(args, false),
         "resume" => run(args, true),
         "supervise" => supervise(args),
-        "bench" => bench(args),
         "merge" => merge(args),
         "diff" => diff(args),
         "stats" => stats(args),
         "fuzz" => fuzz(args),
         other => Err(CtlError::Usage(format!(
             "unknown subcommand {other:?}; usage: campaign_ctl \
-             <run|resume|supervise|bench|merge|diff|stats|fuzz> [--smoke] [--scenario FILE] \
+             <run|resume|supervise|merge|diff|stats|fuzz> [--smoke] [--scenario FILE] \
              [--metrics] [--shard I/K] [--threads N] [--out DIR] \
              [--shards K] [--chaos SPEC] [--max-attempts N] [--backoff-ms MS] \
              [--poll-ms MS] [--stall-polls N] \

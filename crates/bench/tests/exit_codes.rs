@@ -96,6 +96,7 @@ fn usage_errors_are_2() {
     assert_eq!(code_of(&["frobnicate"]), 2, "unknown subcommand");
     assert_eq!(code_of(&["run", "--smoke", "--frobnicate"]), 2, "unknown flag");
     assert_eq!(code_of(&["run", "--smoke", "--stream"]), 2, "every run streams; no flag");
+    assert_eq!(code_of(&["bench"]), 2, "the benchmark lives in perfbench; no subcommand");
     assert_eq!(code_of(&["run", "--smoke", "--budget", "9"]), 2, "fuzz flag on run");
     assert_eq!(code_of(&["run", "--smoke", "--shards", "2"]), 2, "supervise flag on run");
     assert_eq!(code_of(&["supervise", "--smoke"]), 2, "supervise requires --shards");

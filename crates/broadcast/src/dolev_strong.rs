@@ -402,8 +402,8 @@ mod tests {
     /// its counter is wired through: a hit needs the same signature verified twice by
     /// one party in one instance, which requires a rejected chain sharing a valid
     /// prefix with a later chain for the same not-yet-extracted value. Honest
-    /// executions and the benchmark adversaries never produce that shape, which is
-    /// why `verify_cache_hits` is legitimately 0 in `BENCH_engine.json`.
+    /// executions and the built-in adversaries never produce that shape, which is
+    /// why `verify_cache_hits` is legitimately 0 on perfbench's `ds_mesh` grid.
     #[test]
     fn verifier_memo_fires_on_revalidated_chain_prefixes() {
         let sender = PartyId::left(0);

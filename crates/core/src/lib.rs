@@ -3,11 +3,11 @@
 //! This crate turns the theory of *Byzantine Stable Matching* (Constantinescu, Dufay,
 //! Ghinea, Wattenhofer — PODC 2025) into running code:
 //!
-//! * [`problem`] — the problem statements: the byzantine stable matching problem `bSM`
-//!   (Definition 1), its simplified variant `sSM` (§3), and the [`problem::Setting`]
-//!   describing topology, cryptographic assumptions and corruption budgets,
+//! * [`problem`] — the problem statement of the byzantine stable matching problem `bSM`
+//!   (Definition 1) and the [`problem::Setting`] describing topology, cryptographic
+//!   assumptions and corruption budgets,
 //! * [`properties`] — checkable versions of the four bSM properties (termination,
-//!   symmetry, stability, non-competition) and of simplified stability,
+//!   symmetry, stability, non-competition),
 //! * [`solvability`] — Theorems 2–7 as a decision procedure: for every setting it
 //!   returns either an executable [`solvability::ProtocolPlan`] or the theorem that
 //!   proves the setting unsolvable,
@@ -18,8 +18,8 @@
 //! * [`protocols`] — the two constructive protocol families: the broadcast-based
 //!   reduction of Lemma 1 (over Dolev–Strong or committee broadcast) and the
 //!   bipartite-authenticated protocol `ΠbSM` of Lemma 9,
-//! * [`strategies`] — reusable byzantine strategies (crash, preference lying, garbage
-//!   spam, puppet simulation of honest code on chosen inputs),
+//! * [`strategies`] — reusable byzantine strategies (preference lying, garbage spam,
+//!   puppet simulation of honest code on chosen inputs),
 //! * [`mini_toml`] — the one TOML-subset reader, writer and typed accessor layer
 //!   under both text formats (adversary scripts here, scenario files in the engine),
 //! * [`script`] — data-valued adversary scripts: serializable action lists a fuzzer
@@ -64,7 +64,6 @@ pub mod relay;
 pub mod runtime;
 pub mod script;
 pub mod solvability;
-pub mod ssm;
 pub mod strategies;
 pub mod wire;
 

@@ -217,48 +217,6 @@ impl BsmInstance {
     }
 }
 
-/// The inputs of a simplified stable matching (sSM) instance: each party's favorite on
-/// the other side (§3).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SsmInstance {
-    /// `left_favorites[i]` = favorite right-side index of left party `i`.
-    pub left_favorites: Vec<usize>,
-    /// `right_favorites[j]` = favorite left-side index of right party `j`.
-    pub right_favorites: Vec<usize>,
-    /// The corrupted parties.
-    pub corrupted: BTreeSet<PartyId>,
-}
-
-impl SsmInstance {
-    /// Converts the sSM instance into a bSM instance by ranking the favorite first and
-    /// the remaining partners in index order — the reduction used in Lemma 2.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two favorite vectors have different lengths or contain out-of-range
-    /// indices.
-    pub fn to_bsm(&self) -> BsmInstance {
-        let k = self.left_favorites.len();
-        assert_eq!(k, self.right_favorites.len(), "favorite vectors must have equal length");
-        let left = self
-            .left_favorites
-            .iter()
-            .map(|&f| {
-                bsm_matching::PreferenceList::favorite_first(k, f).expect("favorite in range")
-            })
-            .collect();
-        let right = self
-            .right_favorites
-            .iter()
-            .map(|&f| {
-                bsm_matching::PreferenceList::favorite_first(k, f).expect("favorite in range")
-            })
-            .collect();
-        let profile = PreferenceProfile::new(left, right).expect("favorite-first lists are valid");
-        BsmInstance::new(profile, self.corrupted.clone())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -316,18 +274,5 @@ mod tests {
         let profile = PreferenceProfile::identity(2).unwrap();
         let corrupted: BTreeSet<PartyId> = [PartyId::right(5)].into_iter().collect();
         let _ = BsmInstance::new(profile, corrupted);
-    }
-
-    #[test]
-    fn ssm_reduction_ranks_favorites_first() {
-        let ssm = SsmInstance {
-            left_favorites: vec![2, 0, 1],
-            right_favorites: vec![1, 1, 1],
-            corrupted: BTreeSet::new(),
-        };
-        let bsm = ssm.to_bsm();
-        assert_eq!(bsm.profile.left(0).favorite(), 2);
-        assert_eq!(bsm.profile.left(1).favorite(), 0);
-        assert_eq!(bsm.profile.right(2).favorite(), 1);
     }
 }

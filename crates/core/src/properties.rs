@@ -1,19 +1,18 @@
-//! Checkable versions of the bSM and sSM correctness properties.
+//! Checkable versions of the bSM correctness properties.
 //!
 //! Definition 1 requires four properties of honest parties' outputs — termination,
-//! symmetry, stability and non-competition — and the simplified problem of §3 replaces
-//! stability with simplified stability. The functions here take a run's outputs plus the
-//! honest inputs and return every violation found, so the harness, the integration tests
+//! symmetry, stability and non-competition. [`check_bsm`] takes a run's outputs plus the
+//! honest inputs and returns every violation found, so the harness, the integration tests
 //! and the experiment binaries can all report on exactly the properties the paper
 //! defines.
 
-use crate::problem::{BsmInstance, MatchDecision, SsmInstance};
+use crate::problem::{BsmInstance, MatchDecision};
 use bsm_matching::Side;
 use bsm_net::{PartyId, PartySet};
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// A violation of one of the bSM / sSM properties.
+/// A violation of one of the bSM properties.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum PropertyViolation {
@@ -48,13 +47,6 @@ pub enum PropertyViolation {
         /// The contested partner.
         target: PartyId,
     },
-    /// Two honest parties are each other's favorites but did not match (sSM only).
-    SimplifiedStability {
-        /// The left member of the mutual-favorite pair.
-        left: PartyId,
-        /// The right member of the mutual-favorite pair.
-        right: PartyId,
-    },
     /// A party decided to match a party on its own side (malformed output).
     MalformedOutput {
         /// The party with the malformed output.
@@ -80,10 +72,6 @@ impl fmt::Display for PropertyViolation {
             PropertyViolation::NonCompetition { first, second, target } => {
                 write!(f, "non-competition: {first} and {second} both matched {target}")
             }
-            PropertyViolation::SimplifiedStability { left, right } => write!(
-                f,
-                "simplified stability: {left} and {right} are mutual favorites but not matched"
-            ),
             PropertyViolation::MalformedOutput { party, decision } => {
                 write!(f, "malformed output: {party} decided {decision:?}")
             }
@@ -193,32 +181,6 @@ pub fn check_bsm(instance: &BsmInstance, outputs: &Outputs) -> Vec<PropertyViola
             };
             if right_prefers {
                 violations.push(PropertyViolation::Stability { left, right });
-            }
-        }
-    }
-    violations
-}
-
-/// Checks the sSM properties (§3): termination, symmetry, non-competition and simplified
-/// stability.
-pub fn check_ssm(instance: &SsmInstance, outputs: &Outputs) -> Vec<PropertyViolation> {
-    let k = instance.left_favorites.len();
-    let honest = honest_parties(&instance.corrupted, k);
-    let mut violations = Vec::new();
-    check_common(outputs, &honest, &mut violations);
-
-    // Simplified stability: mutual favorites must be matched to each other.
-    for &left in honest.iter().filter(|p| p.side == Side::Left) {
-        for &right in honest.iter().filter(|p| p.side == Side::Right) {
-            let mutual = instance.left_favorites[left.idx()] == right.idx()
-                && instance.right_favorites[right.idx()] == left.idx();
-            if !mutual {
-                continue;
-            }
-            let left_out = outputs.get(&left).copied().flatten();
-            let right_out = outputs.get(&right).copied().flatten();
-            if left_out != Some(right) || right_out != Some(left) {
-                violations.push(PropertyViolation::SimplifiedStability { left, right });
             }
         }
     }
@@ -370,39 +332,6 @@ mod tests {
     }
 
     #[test]
-    fn ssm_checks_mutual_favorites() {
-        let ssm = SsmInstance {
-            left_favorites: vec![0, 1],
-            right_favorites: vec![0, 0],
-            corrupted: BTreeSet::new(),
-        };
-        // L0 and R0 are mutual favorites; everyone outputs nobody.
-        let outputs = outputs_of(&[
-            (PartyId::left(0), None),
-            (PartyId::left(1), None),
-            (PartyId::right(0), None),
-            (PartyId::right(1), None),
-        ]);
-        let violations = check_ssm(&ssm, &outputs);
-        assert_eq!(
-            violations,
-            vec![PropertyViolation::SimplifiedStability {
-                left: PartyId::left(0),
-                right: PartyId::right(0)
-            }]
-        );
-
-        // Matching the mutual favorites satisfies sSM even if others stay unmatched.
-        let outputs = outputs_of(&[
-            (PartyId::left(0), Some(PartyId::right(0))),
-            (PartyId::right(0), Some(PartyId::left(0))),
-            (PartyId::left(1), None),
-            (PartyId::right(1), None),
-        ]);
-        assert!(check_ssm(&ssm, &outputs).is_empty());
-    }
-
-    #[test]
     fn violation_display_is_informative() {
         let violations = [
             PropertyViolation::Termination { party: PartyId::left(0) },
@@ -416,10 +345,6 @@ mod tests {
                 first: PartyId::left(0),
                 second: PartyId::left(1),
                 target: PartyId::right(0),
-            },
-            PropertyViolation::SimplifiedStability {
-                left: PartyId::left(0),
-                right: PartyId::right(0),
             },
             PropertyViolation::MalformedOutput { party: PartyId::left(0), decision: None },
         ];

@@ -8,7 +8,7 @@
 
 use crate::problem::MatchDecision;
 use crate::wire::{ProtoBody, ProtoMsg, WireMsg};
-use bsm_net::{Adversary, AdversaryContext, Envelope, Outgoing, PartyId, Process, Time};
+use bsm_net::{Adversary, AdversaryContext, Envelope, Outgoing, PartyId, Process};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::BTreeMap;
@@ -131,49 +131,13 @@ impl Adversary<WireMsg> for GarbageAdversary {
     }
 }
 
-/// A puppet that crashes after a given slot: it behaves honestly (delegating to an inner
-/// process) until `crash_at`, then goes silent forever — the classic crash-fault model
-/// mentioned for CDN load balancing in the paper's introduction.
-pub struct CrashAfter<M, O> {
-    inner: Box<dyn Process<M, O> + Send>,
-    crash_at: Time,
-}
-
-impl<M, O> CrashAfter<M, O> {
-    /// Wraps `inner`, silencing it from slot `crash_at` onwards.
-    pub fn new(inner: Box<dyn Process<M, O> + Send>, crash_at: Time) -> Self {
-        Self { inner, crash_at }
-    }
-}
-
-impl<M, O> Process<M, O> for CrashAfter<M, O> {
-    fn id(&self) -> PartyId {
-        self.inner.id()
-    }
-
-    fn step(&mut self, now: Time, inbox: &mut Vec<Envelope<M>>) -> Vec<Outgoing<M>> {
-        if now >= self.crash_at {
-            return Vec::new();
-        }
-        self.inner.step(now, inbox)
-    }
-
-    fn output(&self) -> Option<O> {
-        if self.crash_at == Time::ZERO {
-            None
-        } else {
-            self.inner.output()
-        }
-    }
-}
-
 /// Convenience alias for puppet adversaries over the bSM wire format.
 pub type BsmPuppetAdversary = PuppetAdversary<WireMsg, MatchDecision>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bsm_net::{CorruptionBudget, PartySet, SilentProcess, Topology};
+    use bsm_net::{CorruptionBudget, PartySet, SilentProcess, Time, Topology};
 
     #[test]
     fn puppet_adversary_steps_only_corrupted_puppets() {
@@ -248,35 +212,5 @@ mod tests {
         let mut again = GarbageAdversary::new(1, 2);
         let sends_again = again.act(&ctx, &BTreeMap::new());
         assert_eq!(sends.len(), sends_again.len());
-    }
-
-    #[test]
-    fn crash_after_silences_the_inner_process() {
-        struct Chatty {
-            id: PartyId,
-        }
-        impl Process<u32, u32> for Chatty {
-            fn id(&self) -> PartyId {
-                self.id
-            }
-            fn step(&mut self, _now: Time, _inbox: &mut Vec<Envelope<u32>>) -> Vec<Outgoing<u32>> {
-                vec![Outgoing::new(PartyId::right(0), 1)]
-            }
-            fn output(&self) -> Option<u32> {
-                Some(7)
-            }
-        }
-        let mut crashing = CrashAfter::new(Box::new(Chatty { id: PartyId::left(0) }), Time(2));
-        assert_eq!(Process::<u32, u32>::id(&crashing), PartyId::left(0));
-        assert_eq!(crashing.step(Time(0), &mut vec![]).len(), 1);
-        assert_eq!(crashing.step(Time(1), &mut vec![]).len(), 1);
-        assert!(crashing.step(Time(2), &mut vec![]).is_empty());
-        assert!(crashing.step(Time(5), &mut vec![]).is_empty());
-        assert_eq!(crashing.output(), Some(7));
-
-        let mut dead: CrashAfter<u32, u32> =
-            CrashAfter::new(Box::new(SilentProcess::new(PartyId::left(0))), Time::ZERO);
-        assert!(dead.step(Time(0), &mut vec![]).is_empty());
-        assert_eq!(dead.output(), None);
     }
 }

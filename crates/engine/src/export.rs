@@ -24,7 +24,7 @@
 //!
 //! # Crash-safe artifact writes
 //!
-//! Final artifacts (`report.json`, `report.csv`, `BENCH_engine.json`) must never be
+//! Final artifacts (`report.json`, `report.csv`, `fuzz.log`, …) must never be
 //! observable half-written: a crashed process that leaves a truncated file at a
 //! tracked path poisons every later `merge`/`diff`/`cmp` that globs it. [`AtomicFile`]
 //! and [`atomic_write`] write to a sibling `<name>.tmp` file and atomically rename it
@@ -543,7 +543,7 @@ fn staging_path(dest: &Path) -> PathBuf {
 /// truncated file at the tracked destination path: dropping an unpersisted
 /// `AtomicFile` removes the temp file, and a hard kill leaves only `<dest>.tmp`,
 /// which the next writer truncates and reuses. This is the write discipline behind
-/// every final campaign artifact (`report.json`, `report.csv`, `BENCH_engine.json`);
+/// every final campaign artifact (`report.json`, `report.csv`, `fuzz.log`, …);
 /// see [`atomic_write`] for the one-shot convenience form.
 ///
 /// The writer is buffered internally; wrap a `&mut AtomicFile` in a streaming writer
@@ -638,7 +638,6 @@ const SWEEPABLE_STAGING: &[&str] = &[
     "metrics.jsonl",
     "progress.json",
     "supervise.json",
-    "BENCH_engine.json",
     "fuzz.log",
 ];
 

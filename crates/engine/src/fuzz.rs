@@ -71,7 +71,6 @@ fn violation_kind(violation: &PropertyViolation) -> &'static str {
         PropertyViolation::Symmetry { .. } => "symmetry",
         PropertyViolation::Stability { .. } => "stability",
         PropertyViolation::NonCompetition { .. } => "non-competition",
-        PropertyViolation::SimplifiedStability { .. } => "simplified-stability",
         PropertyViolation::MalformedOutput { .. } => "malformed-output",
         _ => "unknown",
     }

@@ -128,7 +128,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod bench;
 pub mod campaign;
 pub mod diff;
 pub mod executor;
@@ -141,7 +140,6 @@ pub mod scenario_file;
 pub mod supervise;
 pub mod telemetry;
 
-pub use bench::BenchSnapshot;
 pub use campaign::{Campaign, CampaignBuilder};
 pub use diff::{CampaignDiff, CellDiff};
 pub use executor::{Executor, THREADS_ENV};

@@ -6,10 +6,23 @@ use bsm_core::harness::{AdversarySpec, Scenario, ScenarioOutcome};
 use bsm_core::problem::AuthMode;
 use bsm_core::script::{Script, ScriptAction};
 use bsm_core::solvability::is_solvable;
-use bsm_engine::bench::dolev_strong_campaign;
 use bsm_engine::fuzz::{run_fuzz, shrink, FuzzConfig};
 use bsm_engine::grid::ScenarioSpec;
+use bsm_engine::{Campaign, CampaignBuilder};
 use bsm_net::{FaultSpec, Topology};
+
+/// The quick 12-cell grid: authenticated, fully connected, k ∈ {3, 4}, (1, 1)
+/// corruptions, every built-in adversary, two seeds. Every cell runs Dolev–Strong.
+fn quick_grid() -> Campaign {
+    CampaignBuilder::new()
+        .sizes([3, 4])
+        .topologies([Topology::FullyConnected])
+        .auth_modes([AuthMode::Authenticated])
+        .corruptions([(1, 1)])
+        .adversaries(AdversarySpec::ALL)
+        .seeds(0..2)
+        .build()
+}
 
 fn assert_same_outcome(context: &str, a: &ScenarioOutcome, b: &ScenarioOutcome) {
     assert_eq!(a.plan, b.plan, "{context}: plan");
@@ -68,7 +81,7 @@ fn empty_script_is_byte_identical_to_the_honest_run_across_the_quick_grid() {
     // so same round counts and slot budgets).
     let mut grids_checked = 0;
     let mut seen = std::collections::BTreeSet::new();
-    for spec in dolev_strong_campaign(true).specs() {
+    for spec in quick_grid().specs() {
         if !seen.insert((spec.k, spec.topology, spec.auth, spec.t_l, spec.t_r, spec.seed)) {
             continue;
         }
@@ -91,9 +104,9 @@ fn empty_script_is_byte_identical_to_the_honest_run_across_the_quick_grid() {
 #[test]
 fn scripts_subsume_every_builtin_adversary() {
     // Coverage: each hand-written AdversarySpec strategy re-expressed as a script is
-    // outcome-identical to the original, over the quick bench grid plus extra
+    // outcome-identical to the original, over the quick grid plus extra
     // topology cells.
-    let mut specs: Vec<ScenarioSpec> = dolev_strong_campaign(true).specs().to_vec();
+    let mut specs: Vec<ScenarioSpec> = quick_grid().specs().to_vec();
     for topology in [Topology::Bipartite, Topology::OneSided] {
         for adversary in AdversarySpec::ALL {
             specs.push(ScenarioSpec {

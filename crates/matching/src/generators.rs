@@ -8,8 +8,7 @@
 //!   (perfectly correlated preferences),
 //! * [`similar_profile`] — lists obtained from a master list by a bounded number of
 //!   adjacent swaps, matching the "similar preference lists" regime of
-//!   Khanchandani–Wattenhofer (OPODIS 2016) cited in the related work,
-//! * [`favorite_inputs`] — random favorite assignments for the simplified problem sSM.
+//!   Khanchandani–Wattenhofer (OPODIS 2016) cited in the related work.
 
 use crate::{PreferenceList, PreferenceProfile};
 use rand::seq::SliceRandom;
@@ -82,21 +81,6 @@ pub fn similar_profile<R: Rng + ?Sized>(k: usize, swaps: usize, rng: &mut R) -> 
     PreferenceProfile::new(left, right).expect("generated lists are valid")
 }
 
-/// Generates random favorite assignments (one partner index per agent, per side) for
-/// the simplified stable matching problem sSM (§3).
-///
-/// Returns `(left_favorites, right_favorites)`.
-///
-/// # Panics
-///
-/// Panics if `k == 0`.
-pub fn favorite_inputs<R: Rng + ?Sized>(k: usize, rng: &mut R) -> (Vec<usize>, Vec<usize>) {
-    assert!(k > 0, "market size must be positive");
-    let left = (0..k).map(|_| rng.random_range(0..k)).collect();
-    let right = (0..k).map(|_| rng.random_range(0..k)).collect();
-    (left, right)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,16 +141,6 @@ mod tests {
             let outcome = gale_shapley(&profile, ProposingSide::Left);
             assert!(outcome.matching.is_stable(&profile));
         }
-    }
-
-    #[test]
-    fn favorite_inputs_are_in_range() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let (l, r) = favorite_inputs(9, &mut rng);
-        assert_eq!(l.len(), 9);
-        assert_eq!(r.len(), 9);
-        assert!(l.iter().all(|&f| f < 9));
-        assert!(r.iter().all(|&f| f < 9));
     }
 
     #[test]

@@ -9,7 +9,6 @@ pub type Rank = usize;
 /// the list is preferred over being unmatched, mirroring the paper's convention that a
 /// party "prefers any party in its preference list over being alone" (§2).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PreferenceList {
     order: Vec<usize>,
     /// `rank[p]` is the position of partner `p` in `order`.
@@ -126,7 +125,6 @@ impl AsRef<[usize]> for PreferenceList {
 /// `left[i]` ranks the right-side agents from the point of view of left agent `i`;
 /// `right[j]` symmetrically ranks the left-side agents.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PreferenceProfile {
     left: Vec<PreferenceList>,
     right: Vec<PreferenceList>,
@@ -238,60 +236,6 @@ impl PreferenceProfile {
     pub fn right(&self, j: usize) -> &PreferenceList {
         &self.right[j]
     }
-
-    /// All left-side preference lists.
-    pub fn left_lists(&self) -> &[PreferenceList] {
-        &self.left
-    }
-
-    /// All right-side preference lists.
-    pub fn right_lists(&self) -> &[PreferenceList] {
-        &self.right
-    }
-
-    /// Replaces the preference list of left agent `i`, returning the previous list.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MatchingError::AgentOutOfBounds`] for an invalid index and
-    /// [`MatchingError::WrongListLength`] if the new list has the wrong length.
-    pub fn set_left(&mut self, i: usize, list: PreferenceList) -> Result<PreferenceList> {
-        let k = self.k();
-        if i >= k {
-            return Err(MatchingError::AgentOutOfBounds { index: i, k });
-        }
-        if list.len() != k {
-            return Err(MatchingError::WrongListLength {
-                side: "left",
-                agent: i,
-                found: list.len(),
-                expected: k,
-            });
-        }
-        Ok(std::mem::replace(&mut self.left[i], list))
-    }
-
-    /// Replaces the preference list of right agent `j`, returning the previous list.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MatchingError::AgentOutOfBounds`] for an invalid index and
-    /// [`MatchingError::WrongListLength`] if the new list has the wrong length.
-    pub fn set_right(&mut self, j: usize, list: PreferenceList) -> Result<PreferenceList> {
-        let k = self.k();
-        if j >= k {
-            return Err(MatchingError::AgentOutOfBounds { index: j, k });
-        }
-        if list.len() != k {
-            return Err(MatchingError::WrongListLength {
-                side: "right",
-                agent: j,
-                found: list.len(),
-                expected: k,
-            });
-        }
-        Ok(std::mem::replace(&mut self.right[j], list))
-    }
 }
 
 #[cfg(test)]
@@ -348,17 +292,6 @@ mod tests {
         assert!(matches!(bad, Err(MatchingError::WrongListLength { side: "right", .. })));
         assert!(PreferenceProfile::identity(3).is_ok());
         assert!(PreferenceProfile::identity(0).is_err());
-    }
-
-    #[test]
-    fn profile_set_replaces_lists() {
-        let mut profile = PreferenceProfile::identity(3).unwrap();
-        let new_list = PreferenceList::new(vec![2, 1, 0]).unwrap();
-        let old = profile.set_left(1, new_list.clone()).unwrap();
-        assert_eq!(old, PreferenceList::identity(3));
-        assert_eq!(profile.left(1), &new_list);
-        assert!(profile.set_left(5, new_list.clone()).is_err());
-        assert!(profile.set_right(0, PreferenceList::identity(2)).is_err());
     }
 
     #[test]
