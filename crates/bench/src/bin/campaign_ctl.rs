@@ -18,8 +18,7 @@
 //! ```
 //!
 //! `run` executes the standard campaign grid (`--smoke`: the small CI grid; default:
-//! the full ~1080-cell sweep — the same grids as `examples/campaign.rs`). All flags
-//! come from [`bsm_bench::cli`].
+//! the full ~1080-cell sweep). All flags come from [`bsm_bench::cli`].
 //!
 //! # One execution path
 //!
@@ -151,9 +150,6 @@ use std::process::{Command, ExitCode, Stdio};
 
 /// The campaign to run, plus the canonical scenario text when one was loaded from
 /// `--scenario FILE` (embedded in every report artifact as its scenario tag).
-///
-/// Without `--scenario`, the standard grids are mirrored by `examples/campaign.rs` —
-/// the CI gate cross-checks that both produce byte-identical exports.
 fn build_campaign(args: &BenchArgs) -> Result<(Campaign, Option<String>), CtlError> {
     if let Some(path) = &args.scenario {
         if args.smoke {

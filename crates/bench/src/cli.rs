@@ -3,7 +3,7 @@
 //! Every binary accepts the same small vocabulary, replacing the copy-pasted
 //! `std::env::args()` handling they used to carry individually:
 //!
-//! * a positional integer — the market size `k`,
+//! * a positional integer — the market size `k` (at least 1),
 //! * other positionals — file paths (e.g. shard exports for `campaign_ctl merge`),
 //! * `--no-verify` — print analytic tables only, skip the empirical runs,
 //! * `--threads N` — worker threads for the campaign engine (overrides `BSM_THREADS`),
@@ -46,7 +46,7 @@ use std::path::PathBuf;
 /// Parsed command-line arguments shared by the experiment binaries.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BenchArgs {
-    /// The positional market size, when given.
+    /// The positional market size, when given (a `0` goes to [`unknown`](Self::unknown)).
     pub k: Option<usize>,
     /// `false` when `--no-verify` was passed.
     pub verify: bool,
@@ -228,6 +228,7 @@ impl BenchArgs {
                 },
                 other if other.starts_with("--") => parsed.unknown.push(other.to_string()),
                 other => match other.parse::<usize>() {
+                    Ok(0) => parsed.unknown.push("0 (the market size must be positive)".into()),
                     Ok(k) if parsed.k.is_none() => parsed.k = Some(k),
                     Ok(_) => parsed.unknown.push(other.to_string()),
                     Err(_) => parsed.files.push(other.to_string()),
@@ -537,6 +538,13 @@ mod tests {
         assert_eq!(parsed.seeds, 1);
         // second positional + bad --threads + bad --seeds + unknown flag
         assert_eq!(parsed.unknown.len(), 4);
+        // A zero market size is a bad argument too: the binary falls back to its
+        // default instead of building an empty market, and a later size still counts.
+        let zero = args(&["0", "--no-verify"]);
+        assert_eq!(zero.k, None);
+        assert_eq!(zero.k_or(6), 6);
+        assert_eq!(zero.unknown.len(), 1);
+        assert_eq!(args(&["0", "4"]).k, Some(4));
         // warn_unknown only logs; parsing results are unchanged.
         let warned = parsed.clone().warn_unknown();
         assert_eq!(warned, parsed);

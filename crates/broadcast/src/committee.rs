@@ -138,7 +138,7 @@ pub struct CommitteeBroadcastConfig<V> {
 /// unauthenticated network for the product adversary structure, provided one side
 /// satisfies `t < k/3`.
 ///
-/// Construction (see `DESIGN.md` §1, substitution 3):
+/// Construction:
 ///
 /// 1. (round 0) the sender sends its value to every committee member;
 /// 2. (rounds 1 … 3(t+1)+1) the committee runs [`PhaseKing`] on the received values

@@ -7,8 +7,8 @@ use bsm_broadcast::{
 };
 use bsm_crypto::{KeyId, Pki, SigningKey};
 use bsm_net::{
-    Adversary, AdversaryContext, CorruptionBudget, Envelope, Outgoing, PartyId, PartySet,
-    RandomOmissions, RoundDriver, SyncNetwork, Topology,
+    Adversary, AdversaryContext, CorruptionBudget, Envelope, FaultSchedule, Outgoing, PartyId,
+    PartySet, RoundDriver, SyncNetwork, Topology,
 };
 use std::collections::BTreeMap;
 
@@ -306,7 +306,7 @@ fn pi_ba_weak_agreement_under_random_omissions() {
                 net.register(Box::new(bsm_net::SilentProcess::new(party))).unwrap();
             }
         }
-        net.set_fault_injector(Box::new(RandomOmissions::new(0.35, seed)));
+        net.set_faults(FaultSchedule::new("loss=350".parse().unwrap(), seed));
         let outcome = net.run(OmissionTolerantBa::<u32>::total_rounds(&committee) + 2).unwrap();
         let decided: Vec<u32> = PartySet::new(k)
             .left()

@@ -202,13 +202,6 @@ impl Scenario {
         self.env.key_of.get(&party).copied()
     }
 
-    /// The shared run environment (PKI, key directory, runtime construction) — used by
-    /// [`crate::script::ScriptedAdversary`] to build honest-code puppets that are
-    /// byte-identical to the ones [`Scenario::run`] builds for [`AdversarySpec::Lying`].
-    pub(crate) fn env(&self) -> &ScenarioEnv {
-        &self.env
-    }
-
     /// Runs the scenario with the plan prescribed by the solvability characterization.
     ///
     /// # Errors
@@ -230,8 +223,12 @@ impl Scenario {
     ///
     /// Propagates simulator configuration errors (e.g. corruption budget exceeded).
     pub fn run_with_plan(&self, plan: ProtocolPlan) -> Result<ScenarioOutcome, HarnessError> {
-        let adversary = self.build_adversary(&self.env, plan);
-        self.execute(plan, adversary)
+        let behaviour = match self.adversary {
+            AdversarySpec::Crash => Behaviour::Crash,
+            AdversarySpec::Lying => Behaviour::Lie(self.seed),
+            AdversarySpec::Garbage => Behaviour::Garbage(self.seed, 2),
+        };
+        self.execute(plan, self.behaviour_adversary(plan, behaviour))
     }
 
     /// Runs the scenario with a custom adversary (used by the tailored impossibility
@@ -284,7 +281,7 @@ impl Scenario {
         }
         net.set_adversary(adversary);
         if self.faults != FaultSpec::NONE {
-            net.set_fault_injector(Box::new(FaultSchedule::new(self.faults, self.seed)));
+            net.set_faults(FaultSchedule::new(self.faults, self.seed));
         }
 
         let outcome = net.run(max_slots)?;
@@ -303,26 +300,47 @@ impl Scenario {
         })
     }
 
-    fn build_adversary(
+    /// Builds the adversary that plays `behaviour` for every corrupted party: the one
+    /// builder behind both [`AdversarySpec`] and the behaviour-mode actions of
+    /// [`crate::script::ScriptedAdversary`], so a script and the built-in strategy it
+    /// names run identically.
+    pub(crate) fn behaviour_adversary(
         &self,
-        env: &ScenarioEnv,
         plan: ProtocolPlan,
+        behaviour: Behaviour,
     ) -> Box<dyn Adversary<WireMsg>> {
-        match self.adversary {
-            AdversarySpec::Crash => Box::new(PassiveAdversary),
-            AdversarySpec::Garbage => Box::new(GarbageAdversary::new(self.seed, 2)),
-            AdversarySpec::Lying => {
-                let mut rng = StdRng::seed_from_u64(self.seed.wrapping_add(0x11e5));
-                let mut puppets = BsmPuppetAdversary::new();
-                let lying_profile = uniform_profile(self.setting.k(), &mut rng);
-                for &party in &self.corrupted {
-                    let runtime = env.build_runtime(party, plan, &lying_profile);
-                    puppets.add_puppet(party, Box::new(runtime));
-                }
-                Box::new(puppets)
+        let puppets = |profile: &PreferenceProfile| -> Box<dyn Adversary<WireMsg>> {
+            let mut puppets = BsmPuppetAdversary::new();
+            for &party in &self.corrupted {
+                puppets.add_puppet(party, Box::new(self.env.build_runtime(party, plan, profile)));
+            }
+            Box::new(puppets)
+        };
+        match behaviour {
+            Behaviour::Crash => Box::new(PassiveAdversary),
+            Behaviour::Honest => puppets(&self.profile),
+            Behaviour::Lie(seed) => {
+                let mut rng = StdRng::seed_from_u64(seed.wrapping_add(0x11e5));
+                puppets(&uniform_profile(self.setting.k(), &mut rng))
+            }
+            Behaviour::Garbage(seed, per_slot) => {
+                Box::new(GarbageAdversary::new(seed, per_slot as usize))
             }
         }
     }
+}
+
+/// How the corrupted parties behave by default (see [`Scenario::behaviour_adversary`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Behaviour {
+    /// Send nothing at all (not even constructor-time signatures are issued).
+    Crash,
+    /// Run the honest protocol on the true preferences.
+    Honest,
+    /// Run the honest protocol on a profile drawn from this seed.
+    Lie(u64),
+    /// Flood honest parties with garbage: `(seed, messages per slot)`.
+    Garbage(u64, u64),
 }
 
 impl ScenarioBuilder {

@@ -14,19 +14,15 @@
 //! [`Script::parse`] followed by [`Script::canonical`] is the identity on canonical
 //! files, which is what lets frozen regressions be compared byte-for-byte.
 
-use crate::harness::{HarnessError, Scenario, ScenarioOutcome};
+use crate::harness::{Behaviour, HarnessError, Scenario, ScenarioOutcome};
 use crate::mini_toml::{self, Table, TomlError, Value, Writer};
 use crate::problem::{AuthMode, Setting, MAX_MARKET_SIZE};
 use crate::solvability::{characterize, ProtocolPlan, Solvability};
-use crate::strategies::{BsmPuppetAdversary, GarbageAdversary};
 use crate::wire::{party_from_dense, PrefVec, ProtoBody, WireMsg};
 use bsm_broadcast::DolevStrongMsg;
 use bsm_crypto::{Digest, DigestWriter, Digestible, SigChain, Signature, SigningKey};
-use bsm_matching::generators::uniform_profile;
 use bsm_matching::Side;
 use bsm_net::{Adversary, AdversaryContext, Envelope, Outgoing, PartyId, Topology};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
@@ -584,16 +580,17 @@ fn verdict_from_table(mut table: Table) -> Result<Verdict, ScriptError> {
 }
 /// The interpreter: executes a [`Script`]'s action list against the live simulation.
 ///
-/// The behaviour-mode actions reuse the exact machinery of
+/// The behaviour-mode actions are built by the same builder as
 /// [`crate::harness::AdversarySpec`] — honest-code puppets on the true or a lying
-/// profile, or the garbage flooder — so scripts subsume the hand-written adversaries
+/// profile, or the garbage flooder — so scripts subsume the built-in adversaries
 /// outcome-identically. The point interventions tamper with the coalition's inbound
 /// and outbound traffic per slot.
 pub struct ScriptedAdversary {
     k: usize,
     actions: Vec<ScriptAction>,
-    puppets: BsmPuppetAdversary,
-    garbage: Option<GarbageAdversary>,
+    /// The default behaviour of the coalition, as the first behaviour-mode action
+    /// names it.
+    base: Box<dyn Adversary<WireMsg>>,
     silence_from: Option<u64>,
     keys: BTreeMap<PartyId, SigningKey>,
     /// Messages withheld by `DelayRecv`, as `(due_slot, recipient, envelope)`.
@@ -603,83 +600,42 @@ pub struct ScriptedAdversary {
 impl ScriptedAdversary {
     /// Builds the interpreter for `scenario`/`plan`.
     ///
-    /// Puppets are constructed *eagerly* here (not lazily in the first slot) so
-    /// that protocol constructors sign before [`Scenario::run_with_adversary`]
+    /// The default behaviour is built *eagerly* here (not lazily in the first slot)
+    /// so that protocol constructors sign before [`Scenario::run_with_adversary`]
     /// snapshots the signature counter — exactly like the built-in adversaries —
     /// keeping empty-script runs byte-identical to honest runs.
     pub fn new(scenario: &Scenario, plan: ProtocolPlan, actions: &[ScriptAction]) -> Self {
-        enum Mode {
-            Honest,
-            Silence(u64),
-            Lie(u64),
-            Garbage(u64, u64),
-        }
-        let mode = actions
+        let (behaviour, silence_from) = actions
             .iter()
             .find_map(|action| match *action {
-                ScriptAction::Silence { from_slot } => Some(Mode::Silence(from_slot)),
-                ScriptAction::Lie { seed } => Some(Mode::Lie(seed)),
-                ScriptAction::Garbage { seed, per_slot } => Some(Mode::Garbage(seed, per_slot)),
+                // Silence from slot 0 is the crash fault: no puppets at all, so not even
+                // constructor-time signatures are issued — identical to AdversarySpec::Crash.
+                ScriptAction::Silence { from_slot: 0 } => Some((Behaviour::Crash, None)),
+                ScriptAction::Silence { from_slot } => Some((Behaviour::Honest, Some(from_slot))),
+                ScriptAction::Lie { seed } => Some((Behaviour::Lie(seed), None)),
+                ScriptAction::Garbage { seed, per_slot } => {
+                    Some((Behaviour::Garbage(seed, per_slot), None))
+                }
                 _ => None,
             })
-            .unwrap_or(Mode::Honest);
-
-        let env = scenario.env();
-        let k = scenario.setting().k();
-        let mut puppets = BsmPuppetAdversary::new();
-        let mut garbage = None;
-        let mut silence_from = None;
-        match mode {
-            Mode::Honest => {
-                for &party in scenario.corrupted() {
-                    puppets.add_puppet(
-                        party,
-                        Box::new(env.build_runtime(party, plan, scenario.profile())),
-                    );
-                }
-            }
-            // Silence from slot 0 is the crash fault: no puppets at all, so not even
-            // constructor-time signatures are issued — identical to AdversarySpec::Crash.
-            Mode::Silence(0) => {}
-            Mode::Silence(from) => {
-                silence_from = Some(from);
-                for &party in scenario.corrupted() {
-                    puppets.add_puppet(
-                        party,
-                        Box::new(env.build_runtime(party, plan, scenario.profile())),
-                    );
-                }
-            }
-            Mode::Lie(seed) => {
-                // Same derivation as Scenario::build_adversary for AdversarySpec::Lying.
-                let mut rng = StdRng::seed_from_u64(seed.wrapping_add(0x11e5));
-                let lying_profile = uniform_profile(k, &mut rng);
-                for &party in scenario.corrupted() {
-                    puppets.add_puppet(
-                        party,
-                        Box::new(env.build_runtime(party, plan, &lying_profile)),
-                    );
-                }
-            }
-            Mode::Garbage(seed, per_slot) => {
-                garbage = Some(GarbageAdversary::new(seed, per_slot as usize));
-            }
-        }
+            .unwrap_or((Behaviour::Honest, None));
 
         let keys = scenario
             .corrupted()
             .iter()
             .map(|&party| {
-                let key = env.pki.signing_key(env.key_of[&party].0).expect("every party has a key");
+                let key = scenario
+                    .key_id_of(party)
+                    .and_then(|id| scenario.pki().signing_key(id.0))
+                    .expect("every party has a key");
                 (party, key)
             })
             .collect();
 
         Self {
-            k,
+            k: scenario.setting().k(),
             actions: actions.to_vec(),
-            puppets,
-            garbage,
+            base: scenario.behaviour_adversary(plan, behaviour),
             silence_from,
             keys,
             delayed: Vec::new(),
@@ -810,8 +766,8 @@ impl Adversary<WireMsg> for ScriptedAdversary {
             boxes.entry(party).or_default().push(envelope);
         }
 
-        // Inbound pass: drop / delay / replay received messages before the puppets
-        // see them.
+        // Inbound pass: drop / delay / replay received messages before the base
+        // behaviour sees them.
         let actions = self.actions.clone();
         let mut replays: Vec<(PartyId, Outgoing<WireMsg>)> = Vec::new();
         for action in &actions {
@@ -838,10 +794,7 @@ impl Adversary<WireMsg> for ScriptedAdversary {
             }
         }
 
-        let mut out = self.puppets.act(ctx, &boxes);
-        if let Some(garbage) = &mut self.garbage {
-            out.extend(garbage.act(ctx, &boxes));
-        }
+        let mut out = self.base.act(ctx, &boxes);
         out.extend(replays);
 
         // Outbound pass: suppress or tamper with what the coalition sends.

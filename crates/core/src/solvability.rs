@@ -118,6 +118,17 @@ fn committee_side(setting: &Setting) -> Option<Side> {
 }
 
 /// Applies Theorems 2–7 to `setting`.
+///
+/// A setting is solvable exactly when its row below holds:
+///
+/// | network | solvable iff |
+/// |---|---|
+/// | unauthenticated fully-connected (Thm 2) | `tL < k/3` or `tR < k/3` |
+/// | unauthenticated bipartite (Thm 3) | `tL, tR < k/2` and (`tL < k/3` or `tR < k/3`) |
+/// | unauthenticated one-sided (Thm 4) | `tR < k/2` and (`tL < k/3` or `tR < k/3`) |
+/// | authenticated fully-connected (Thm 5) | always |
+/// | authenticated bipartite (Thm 6) | (`tL, tR < k`) or `tL < k/3` or `tR < k/3` |
+/// | authenticated one-sided (Thm 7) | `tR < k` or `tL < k/3` |
 pub fn characterize(setting: &Setting) -> Solvability {
     let k = setting.k();
     let t_l = setting.t_l();

@@ -12,8 +12,7 @@
 //!   signature verifies if and only if the holder of the corresponding [`SigningKey`]
 //!   actually signed that exact digest. Unforgeability is enforced by a shared signing
 //!   registry rather than by number theory, which is the standard idealization used in
-//!   distributed computing proofs (and by this paper). See `DESIGN.md` §1 for the
-//!   substitution rationale.
+//!   distributed computing proofs (and by this paper).
 //!
 //! # Example
 //!

@@ -12,15 +12,15 @@
 //!   think in lock-step rounds rather than raw slots,
 //! * [`Adversary`] — an adaptive byzantine adversary that controls all corrupted
 //!   parties, subject to the per-side corruption budget `(tL, tR)`,
-//! * [`FaultInjector`] — message-level fault injection (omission networks, §5.2), with
-//!   [`FaultSchedule`] applying a declarative [`FaultSpec`] (scheduled partitions,
-//!   crash/recovery, seeded loss and delivery jitter — partial synchrony),
+//! * [`FaultSchedule`] — message-level fault injection: a declarative [`FaultSpec`]
+//!   (omission networks, §5.2, plus scheduled partitions, crash/recovery, seeded loss
+//!   and delivery jitter — partial synchrony),
 //! * [`SyncNetwork`] — the deterministic scheduler tying everything together, plus
 //!   [`Metrics`] for message/round accounting used by the benchmarks.
 //!
 //! Determinism: party iteration follows the total order on [`PartyId`], all collections
 //! with observable iteration order are `BTreeMap`/`BTreeSet`, and any randomness lives
-//! inside explicitly seeded adversaries or fault injectors. Two runs of the same
+//! inside explicitly seeded adversaries or fault schedules. Two runs of the same
 //! scenario produce identical transcripts, which is what makes the paper's
 //! indistinguishability-based attacks reproducible.
 
@@ -40,8 +40,7 @@ mod topology;
 
 pub use adversary::{Adversary, AdversaryContext, CorruptionBudget, PassiveAdversary};
 pub use faults::{
-    CrashWindow, DropAll, FaultAction, FaultInjector, FaultSchedule, FaultSpec,
-    FaultSpecParseError, NoFaults, PartitionWindow, PredicateFaults, RandomOmissions,
+    CrashWindow, FaultAction, FaultSchedule, FaultSpec, FaultSpecParseError, PartitionWindow,
 };
 pub use message::{multicast, Envelope, Outgoing};
 pub use metrics::{FanoutSummary, Metrics, RoleFanout};

@@ -3,8 +3,8 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// Message and round accounting for one simulation run.
 ///
-/// The complexity experiments (E6–E11 in `DESIGN.md`) read these counters to build the
-/// rounds/messages-versus-`k` tables.
+/// The cost tables (E6–E8 and E11, the `cost_tables` binary of `bsm-bench`) read these
+/// counters to build the rounds/messages-versus-`k` tables.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Metrics {
     /// Messages accepted into the network from honest parties.
@@ -13,9 +13,9 @@ pub struct Metrics {
     pub byzantine_messages: u64,
     /// Messages actually delivered to a recipient.
     pub delivered_messages: u64,
-    /// Messages dropped by the fault injector.
+    /// Messages dropped by the fault schedule.
     pub dropped_by_faults: u64,
-    /// Messages the fault injector delayed past their normal next-slot delivery
+    /// Messages the fault schedule delayed past their normal next-slot delivery
     /// (they were still delivered, just later).
     pub delayed_by_faults: u64,
     /// Messages discarded because the topology has no such channel (or the destination

@@ -5,8 +5,8 @@ use crate::{Envelope, Outgoing, PartyId, Time};
 /// `M` is the wire message type and `O` the output (decision) type. A process receives
 /// in `step` exactly the messages whose delivery slot has arrived, in a deterministic
 /// order (sorted by sender), and returns the messages it wants to send this slot. Every
-/// sent message is delivered at the next slot (within `Δ`), unless dropped by a fault
-/// injector or blocked by the topology.
+/// sent message is delivered at the next slot (within `Δ`), unless a fault schedule
+/// drops or delays it or the topology blocks it.
 ///
 /// Once [`Process::output`] returns `Some`, the decision is final: the simulator records
 /// the first value observed and keeps stepping the process (protocols such as `ΠbSM`

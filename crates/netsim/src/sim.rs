@@ -1,5 +1,5 @@
 use crate::{
-    Adversary, AdversaryContext, CorruptionBudget, Envelope, FaultInjector, Metrics, NoFaults,
+    Adversary, AdversaryContext, CorruptionBudget, Envelope, FaultAction, FaultSchedule, Metrics,
     Outgoing, PartyId, PartySet, PassiveAdversary, Process, Time, Topology,
 };
 use std::collections::{BTreeMap, BTreeSet};
@@ -80,7 +80,7 @@ impl<O> RunOutcome<O> {
 }
 
 /// A deterministic synchronous network of `2k` parties running [`Process`] state
-/// machines under an adaptive byzantine adversary and a message fault injector.
+/// machines under an adaptive byzantine adversary and an optional fault schedule.
 ///
 /// Slot semantics: at slot `t` every process receives the messages whose delivery slot
 /// is `≤ t` that it has not seen yet, then sends messages that will be delivered at slot
@@ -94,7 +94,7 @@ pub struct SyncNetwork<M, O> {
     processes: BTreeMap<PartyId, Box<dyn Process<M, O>>>,
     corrupted: BTreeSet<PartyId>,
     adversary: Box<dyn Adversary<M>>,
-    injector: Box<dyn FaultInjector<M>>,
+    faults: Option<FaultSchedule>,
     in_flight: Vec<Envelope<M>>,
     outputs: BTreeMap<PartyId, O>,
     now: Time,
@@ -140,7 +140,7 @@ impl<M: Clone, O: Clone> SyncNetwork<M, O> {
             processes: BTreeMap::new(),
             corrupted: BTreeSet::new(),
             adversary: Box::new(PassiveAdversary),
-            injector: Box::new(NoFaults),
+            faults: None,
             in_flight: Vec::new(),
             outputs: BTreeMap::new(),
             now: Time::ZERO,
@@ -201,9 +201,10 @@ impl<M: Clone, O: Clone> SyncNetwork<M, O> {
         self.adversary = adversary;
     }
 
-    /// Installs the fault injector (default: [`NoFaults`]).
-    pub fn set_fault_injector(&mut self, injector: Box<dyn FaultInjector<M>>) {
-        self.injector = injector;
+    /// Installs a fault schedule (default: none, every accepted message is delivered
+    /// at the next slot).
+    pub fn set_faults(&mut self, faults: FaultSchedule) {
+        self.faults = Some(faults);
     }
 
     /// Statically corrupts a party before the run starts (or adaptively between slots).
@@ -240,10 +241,14 @@ impl<M: Clone, O: Clone> SyncNetwork<M, O> {
             payload: outgoing.payload,
         };
         self.metrics.record_sent(from, byzantine);
-        match self.injector.action(&envelope, self.now) {
-            crate::FaultAction::Deliver => self.in_flight.push(envelope),
-            crate::FaultAction::Drop => self.metrics.dropped_by_faults += 1,
-            crate::FaultAction::Delay(extra) => {
+        let action = match &mut self.faults {
+            Some(faults) => faults.action(&envelope, self.now),
+            None => FaultAction::Deliver,
+        };
+        match action {
+            FaultAction::Deliver => self.in_flight.push(envelope),
+            FaultAction::Drop => self.metrics.dropped_by_faults += 1,
+            FaultAction::Delay(extra) => {
                 envelope.deliver_at = self.now + 1 + extra;
                 self.metrics.delayed_by_faults += 1;
                 self.in_flight.push(envelope);
@@ -570,7 +575,7 @@ mod tests {
     #[test]
     fn fault_injector_drops_messages() {
         let mut net = gossip_network(2, Topology::FullyConnected, CorruptionBudget::NONE);
-        net.set_fault_injector(Box::new(crate::DropAll));
+        net.set_faults(crate::FaultSchedule::new("loss=1000".parse().unwrap(), 0));
         let outcome = net.run(10).unwrap();
         for party in PartySet::new(2).iter() {
             assert_eq!(outcome.outputs[&party], vec![party]);
@@ -584,7 +589,7 @@ mod tests {
         let run = || {
             let mut net = gossip_network(2, Topology::FullyConnected, CorruptionBudget::NONE);
             let spec: crate::FaultSpec = "jitter=3".parse().unwrap();
-            net.set_fault_injector(Box::new(crate::FaultSchedule::new(spec, 9)));
+            net.set_faults(crate::FaultSchedule::new(spec, 9));
             net.run(20).unwrap()
         };
         let outcome = run();
@@ -594,6 +599,23 @@ mod tests {
         let again = run();
         assert_eq!(outcome.outputs, again.outputs);
         assert_eq!(outcome.metrics, again.metrics);
+    }
+
+    #[test]
+    fn none_schedule_equals_no_schedule() {
+        // Scenario runs skip installing a `NONE` plan; that is only sound if it is a
+        // no-op, whatever the seed.
+        for topology in [Topology::FullyConnected, Topology::Bipartite] {
+            let bare = gossip_network(3, topology, CorruptionBudget::NONE).run(10).unwrap();
+            for seed in [0, 7] {
+                let mut net = gossip_network(3, topology, CorruptionBudget::NONE);
+                net.set_faults(crate::FaultSchedule::new(crate::FaultSpec::NONE, seed));
+                let scheduled = net.run(10).unwrap();
+                assert_eq!(bare.outputs, scheduled.outputs, "{topology:?} seed {seed}");
+                assert_eq!(bare.metrics, scheduled.metrics, "{topology:?} seed {seed}");
+                assert_eq!(bare.slots, scheduled.slots, "{topology:?} seed {seed}");
+            }
+        }
     }
 
     /// An adversary that equivocates: it sends different values to different recipients
